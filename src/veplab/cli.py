@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields, replace
 
 from .decode import Decision
 from .errors import DegenerateDataError, InputError
@@ -20,7 +20,7 @@ from .pipeline import (
     analyze_recording,
     config_for_task,
     emit_report,
-    run_pipeline,
+    result_report,
     stats_report,
 )
 from .stimgen import (
@@ -64,29 +64,51 @@ def _load_synth_config(path) -> tuple[SynthConfig, SynthProtocol | None]:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise InputError(f"{path}: top level must be a JSON object")
     protocol = None
     proto_raw = raw.pop("protocol", None)
-    known = {f.name for f in fields(SynthConfig)}
-    unknown = set(raw) - known
+    known = {f.name: f for f in fields(SynthConfig)}
+    unknown = set(raw) - set(known)
     if unknown:
         raise InputError(f"{path}: unknown config fields {sorted(unknown)}")
-    cfg = SynthConfig(**raw)
-    if proto_raw is not None:
-        tasks = tuple(
-            TaskProtocol(
-                paradigm=t["paradigm"],
-                targets_hz=tuple(float(f) for f in t["targets_hz"]),
-                trials_per_target=int(t["trials_per_target"]),
-                trial_s=float(t.get("trial_s", 5.0)),
-                rest_s=float(t.get("rest_s", 5.0)),
+    # each value must have the JSON type of its field's default
+    for name, value in raw.items():
+        f = known[name]
+        kind = type(f.default if f.default is not MISSING else f.default_factory())
+        if isinstance(value, bool) or not isinstance(
+            value, (int, float) if kind is float else kind
+        ):
+            raise InputError(
+                f"{path}: {name} must be a JSON {kind.__name__}, got {value!r}"
             )
-            for t in proto_raw["tasks"]
-        )
-        protocol = SynthProtocol(
-            tasks=tasks,
-            n_subjects=int(proto_raw.get("n_subjects", 14)),
-            fs_hz=float(proto_raw.get("fs_hz", 500.0)),
-        )
+    gains = raw.get("channel_gains", {}).values()
+    if not all(isinstance(g, (int, float)) and not isinstance(g, bool) for g in gains):
+        raise InputError(f"{path}: channel_gains values must be numbers")
+    try:
+        cfg = SynthConfig(**raw)
+        if proto_raw is not None:
+            tasks = tuple(
+                TaskProtocol(
+                    paradigm=t["paradigm"],
+                    targets_hz=tuple(float(f) for f in t["targets_hz"]),
+                    trials_per_target=int(t["trials_per_target"]),
+                    trial_s=float(t.get("trial_s", 5.0)),
+                    rest_s=float(t.get("rest_s", 5.0)),
+                )
+                for t in proto_raw["tasks"]
+            )
+            protocol = SynthProtocol(
+                tasks=tasks,
+                n_subjects=int(proto_raw.get("n_subjects", 14)),
+                fs_hz=float(proto_raw.get("fs_hz", 500.0)),
+            )
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed config: {exc}") from None
     return cfg, protocol
 
 
@@ -98,13 +120,7 @@ def _cmd_synth(args) -> int:
     if protocol is None:
         protocol = default_protocol()
     if args.subjects is not None:
-        protocol = SynthProtocol(
-            tasks=protocol.tasks,
-            n_subjects=args.subjects,
-            fs_hz=protocol.fs_hz,
-            baseline_s=protocol.baseline_s,
-            lead_out_s=protocol.lead_out_s,
-        )
+        protocol = replace(protocol, n_subjects=args.subjects)
     manifest = synth_dataset(cfg, protocol, args.out)
     n_files = sum(len(s["tasks"]) for s in manifest["subjects"])
     print(f"wrote {n_files} recording/marker pairs + manifest to {args.out}")
@@ -140,10 +156,10 @@ def _cmd_analyze(args) -> int:
         cfg = config_for_task(
             args.task, recording_path=args.recording, markers_path=args.markers
         )
+        result = analyze_recording(cfg)
         if args.decisions:
-            result = analyze_recording(cfg)
             _write_decisions_csv(result.trials, result.offset_decisions, args.decisions)
-        report = run_pipeline(cfg)
+        report = result_report(cfg, result)
     emit_report(report, fmt, args.out)
     print(f"wrote {fmt} report to {args.out}")
     return 0

@@ -20,9 +20,11 @@ MARKER_BASELINE = "baseline_start"
 MARKER_ONSET = "trial_onset"
 MARKER_OFFSET = "trial_offset"
 
-# trial_onset:<paradigm>:<freq_hz> / trial_offset:<paradigm>:<freq_hz> / baseline_start
+# trial_onset:<paradigm>:<freq_hz> / trial_offset:<paradigm>:<freq_hz> / baseline_start,
+# where freq_hz is an unsigned decimal float literal
 _LABEL_RE = re.compile(
-    r"^(baseline_start|(trial_onset|trial_offset):[A-Za-z0-9_]+:[0-9.eE+-]+)$"
+    r"^(baseline_start|(trial_onset|trial_offset):[A-Za-z0-9_]+:"
+    r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?)$"
 )
 
 
@@ -261,7 +263,10 @@ def load_markers(path) -> MarkerStream:
             except ValueError:
                 raise ParseError(f"{path}: row {i} is not time_s,label") from None
             events.append((t, label))
-    return MarkerStream(tuple(events))
+    try:
+        return MarkerStream(tuple(events))
+    except InputError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def derive_virtual_channel(

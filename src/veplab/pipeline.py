@@ -67,13 +67,16 @@ class PipelineConfig:
     snr_neighbors: int = 3
     snr_skip: int = 1
     n_harmonics: int = 3
-    fbcca: FilterBankConfig | None = None
-    onset_mode: bool = False  # single-stimulus on/off detection instead of FB-CCA
     # null rho for 4 s band-limited epochs reaches ~0.4; evoked trials at the
     # default synth amplitudes sit near 0.99
     onset_threshold: float = 0.6
     trial_window_s: tuple[float, float] = (0.0, 5.0)
     analysis_channel: str = "POz"
+
+    @property
+    def onset_mode(self) -> bool:
+        """Single-stimulus on/off detection instead of FB-CCA."""
+        return self.paradigm == GABOR_PULSE and len(self.targets_hz) == 1
 
     def filter_bank(self, fs_hz: float) -> FilterBankConfig:
         """Sub-bands for FB-CCA decoding.
@@ -82,26 +85,28 @@ class PipelineConfig:
         narrow task band would erase the harmonic structure that separates
         targets whose frequencies are multiples of each other (8 vs 16 Hz).
         """
-        if self.fbcca is not None:
-            return self.fbcca
         ceiling = min(
             self.n_harmonics * max(self.targets_hz) + 2.0, 0.45 * fs_hz
         )
         return default_filter_bank(self.targets_hz, ceiling)
 
 
+def _paradigm_config(task: int, paradigm: str, targets_hz, **fields) -> PipelineConfig:
+    """Config for a task on a known paradigm, which fixes the analysis band."""
+    return PipelineConfig(
+        task=task,
+        paradigm=paradigm,
+        targets_hz=tuple(targets_hz),
+        band=BandpassSpec(*PARADIGM_BANDS[paradigm]),
+        **fields,
+    )
+
+
 def config_for_task(task: int, **overrides) -> PipelineConfig:
     """Defaults for the three tasks (targets, band edges, paradigm)."""
     if task not in TASK_DEFAULTS:
         raise InputError(f"task must be one of {sorted(TASK_DEFAULTS)}, got {task}")
-    paradigm, targets = TASK_DEFAULTS[task]
-    cfg = PipelineConfig(
-        task=task,
-        paradigm=paradigm,
-        targets_hz=targets,
-        band=BandpassSpec(*PARADIGM_BANDS[paradigm]),
-        onset_mode=(paradigm == GABOR_PULSE and len(targets) == 1),
-    )
+    cfg = _paradigm_config(task, *TASK_DEFAULTS[task])
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -193,22 +198,22 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
     epochs = _staged("epoching", None, extract_epochs, rec, markers, cfg.trial_window_s)
     ch_idx = rec.layout.index(channel)
 
-    refs = None
-    bank = None
-
-    def build_refs(segment: TrialEpoch):
-        nonlocal refs, bank
-        if refs is not None:
-            return
-        n_harm = cfg.n_harmonics
-        if cfg.onset_mode:
-            # harmonics outside the analysis band cannot appear in the
-            # band-passed epoch; they would only inflate the null rho
-            n_harm = max(1, min(n_harm, int(cfg.band.hi_hz // max(cfg.targets_hz))))
-        refs = make_references(
-            cfg.targets_hz, n_harm, segment.sample_rate_hz, segment.n_samples
+    fs = rec.sample_rate_hz
+    n_harm = cfg.n_harmonics
+    if cfg.onset_mode:
+        # harmonics outside the analysis band cannot appear in the
+        # band-passed epoch; they would only inflate the null rho
+        n_harm = max(1, min(n_harm, int(cfg.band.hi_hz // max(cfg.targets_hz))))
+    # every decoded segment is one epoch window minus the onset skip
+    start_s, end_s = cfg.trial_window_s
+    n_segment = round((end_s - start_s) * fs) - round(cfg.skip_initial_s * fs)
+    if n_segment < 2:
+        raise InputError(
+            f"skip of {cfg.skip_initial_s} s leaves under 2 samples of a "
+            f"{end_s - start_s} s trial window"
         )
-        bank = cfg.filter_bank(segment.sample_rate_hz)
+    refs = make_references(cfg.targets_hz, n_harm, fs, n_segment)
+    bank = cfg.filter_bank(fs)
 
     trials = []
     for i, epoch in enumerate(epochs):
@@ -219,6 +224,9 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
         if cfg.onset_mode:
             # single-target on/off call runs on the band-passed epoch
             segment = _post_skip(narrow, cfg)
+            decision = _staged(
+                "decode", i, detect_onset, segment, refs, cfg.onset_threshold
+            )
         else:
             # FB-CCA applies its own sub-band filters; feed it the
             # line-cleaned but otherwise full-band epoch so reference
@@ -227,12 +235,6 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
                 "line-removal", i, remove_line_noise, epoch, cfg.line_freq_hz
             )
             segment = _post_skip(cleaned, cfg)
-        build_refs(segment)
-        if cfg.onset_mode:
-            decision = _staged(
-                "decode", i, detect_onset, segment, refs, cfg.onset_threshold
-            )
-        else:
             decision = _staged("decode", i, fbcca_decide, segment, refs, bank)
         trials.append(
             TrialOutcome(
@@ -257,7 +259,6 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
         for i, epoch in enumerate(rest_epochs):
             clean = _preprocess(epoch, cfg, i)
             segment = _post_skip(clean, cfg)
-            build_refs(segment)
             offset_decisions.append(
                 _staged("decode", i, detect_onset, segment, refs, cfg.onset_threshold)
             )
@@ -349,80 +350,74 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def _task_entry(cfg: PipelineConfig, rows: list[dict]) -> dict:
+    """One task of a report: its stimulus set, subject rows and aggregate."""
+    return {
+        "task": cfg.task,
+        "paradigm": cfg.paradigm,
+        "targets": list(cfg.targets_hz),
+        "rows": rows,
+        "aggregate": _aggregate(rows),
+    }
+
+
+def result_report(
+    cfg: PipelineConfig, result: SubjectTaskResult, fatigue: float | None = None
+) -> Report:
+    """Wrap one analyzed recording as a single-subject report."""
+    return Report(tasks=[_task_entry(cfg, [_row_from_result(result, fatigue)])])
+
+
 def run_pipeline(cfg: PipelineConfig, fatigue: float | None = None) -> Report:
     """Analyze one recording and wrap it as a single-subject report."""
-    result = analyze_recording(cfg)
-    rows = [_row_from_result(result, fatigue)]
-    return Report(
-        tasks=[
-            {
-                "task": cfg.task,
-                "paradigm": cfg.paradigm,
-                "targets": list(cfg.targets_hz),
-                "rows": rows,
-                "aggregate": _aggregate(rows),
-            }
-        ]
-    )
+    return result_report(cfg, analyze_recording(cfg), fatigue)
 
 
-def analyze_dataset(manifest_path, **config_overrides) -> Report:
+def analyze_dataset(manifest_path) -> Report:
     """Analyze every subject/task pair listed in a synthetic-dataset manifest."""
     manifest_path = str(manifest_path)
     base = os.path.dirname(manifest_path)
+    # read every entry before analyzing any, so a malformed one fails fast
+    entries: list[tuple[PipelineConfig, float | None]] = []
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
+        for subj in manifest["subjects"]:
+            baseline_items = subj.get("vasf_baseline_items")
+            baseline = (
+                vstats.score_vasf(baseline_items) if baseline_items is not None else None
+            )
+            for task_entry in subj["tasks"]:
+                paradigm = task_entry["paradigm"]
+                if paradigm not in PARADIGM_BANDS:
+                    raise InputError(f"{manifest_path}: unknown paradigm {paradigm!r}")
+                cfg = _paradigm_config(
+                    int(task_entry["task"]),
+                    paradigm,
+                    (float(f) for f in task_entry["targets"]),
+                    recording_path=os.path.join(base, task_entry["recording"]),
+                    markers_path=os.path.join(base, task_entry["markers"]),
+                    subject=subj["id"],
+                    trial_window_s=(0.0, float(task_entry.get("trial_s", 5.0))),
+                )
+                fatigue = None
+                items = task_entry.get("vasf_items")
+                if items is not None and baseline is not None:
+                    fatigue = vstats.score_vasf(items, baseline=baseline).fatigue
+                entries.append((cfg, fatigue))
     except OSError as exc:
         raise InputError(f"cannot read manifest: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"manifest is not valid JSON: {exc}")
+    except KeyError as exc:
+        raise InputError(f"{manifest_path}: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        # json.JSONDecodeError is a ValueError
+        raise InputError(f"{manifest_path}: malformed manifest: {exc}") from None
 
-    tasks_out: dict[int, dict] = {}
-    for subj in manifest["subjects"]:
-        baseline_items = subj.get("vasf_baseline_items")
-        baseline = (
-            vstats.score_vasf(baseline_items) if baseline_items is not None else None
-        )
-        for task_entry in subj["tasks"]:
-            task_id = int(task_entry["task"])
-            paradigm = task_entry["paradigm"]
-            if paradigm not in PARADIGM_BANDS:
-                raise InputError(f"manifest names unknown paradigm {paradigm!r}")
-            targets = tuple(float(f) for f in task_entry["targets"])
-            cfg = PipelineConfig(
-                task=task_id,
-                paradigm=paradigm,
-                targets_hz=targets,
-                band=BandpassSpec(*PARADIGM_BANDS[paradigm]),
-                onset_mode=(paradigm == GABOR_PULSE and len(targets) == 1),
-                recording_path=os.path.join(base, task_entry["recording"]),
-                markers_path=os.path.join(base, task_entry["markers"]),
-                subject=subj["id"],
-                trial_window_s=(0.0, float(task_entry.get("trial_s", 5.0))),
-            )
-            if config_overrides:
-                cfg = replace(cfg, **config_overrides)
-            result = analyze_recording(cfg)
-            fatigue = None
-            items = task_entry.get("vasf_items")
-            if items is not None and baseline is not None:
-                fatigue = vstats.score_vasf(items, baseline=baseline).fatigue
-            row = _row_from_result(result, fatigue)
-            entry = tasks_out.setdefault(
-                task_id,
-                {
-                    "task": task_id,
-                    "paradigm": cfg.paradigm,
-                    "targets": list(cfg.targets_hz),
-                    "rows": [],
-                },
-            )
-            entry["rows"].append(row)
-    ordered = [tasks_out[k] for k in sorted(tasks_out)]
-    for entry in ordered:
-        entry["aggregate"] = _aggregate(entry["rows"])
-    return Report(tasks=ordered)
+    by_task: dict[int, tuple[PipelineConfig, list[dict]]] = {}
+    for cfg, fatigue in entries:
+        row = _row_from_result(analyze_recording(cfg), fatigue)
+        by_task.setdefault(cfg.task, (cfg, []))[1].append(row)
+    return Report(tasks=[_task_entry(*by_task[t]) for t in sorted(by_task)])
 
 
 def emit_report(report: Report, fmt: str, path) -> None:

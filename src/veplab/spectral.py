@@ -127,14 +127,3 @@ def snr_at(s: SnrSpectrum, f: float) -> SnrReadout:
         snr_linear=s.snr_linear[:, idx].copy(),
     )
 
-
-def dump_spectrum_csv(freqs_hz, per_channel, names, path) -> None:
-    """Write `freq_hz,<ch...>` rows; works for PSD or SNR matrices."""
-    arr = np.asarray(per_channel)
-    if arr.shape[0] != len(names):
-        raise InputError("channel count does not match names")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("freq_hz," + ",".join(names) + "\n")
-        for i, f in enumerate(np.asarray(freqs_hz).tolist()):
-            row = ",".join(repr(float(v)) for v in arr[:, i])
-            fh.write(f"{f!r},{row}\n")

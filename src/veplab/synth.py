@@ -55,6 +55,7 @@ class SynthConfig:
             "line_amp_uV",
             "artifact_rate_per_min",
             "artifact_amp_uV",
+            "seed",
         ):
             if getattr(self, name) < 0:
                 raise InputError(f"{name} must be >= 0")

@@ -210,7 +210,7 @@ def test_cli_stimgen_and_synth_and_analyze(tmp_path):
                  "--out", str(stats_out)]) == 2
 
 
-def test_cli_error_exit_codes(tmp_path):
+def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["analyze", "--recording", "missing.csv", "--markers", "m.csv",
                  "--task", "1", "--out", str(tmp_path / "x.json")]) == 2
     bad = tmp_path / "bad.csv"
@@ -219,6 +219,61 @@ def test_cli_error_exit_codes(tmp_path):
     mk.write_text("time_s,label\n0.0,baseline_start\n")
     assert main(["analyze", "--recording", str(bad), "--markers", str(mk),
                  "--task", "1", "--out", str(tmp_path / "y.json")]) == 2
+
+    # malformed files: exit 2, and the message names the file and the key or label
+    rec = tmp_path / "rec.csv"
+    rec.write_text("time_s,a\n" + "".join(f"{i / 100!r},0.0\n" for i in range(1200)))
+    dots = tmp_path / "dots.csv"
+    dots.write_text("time_s,label\n0.0,trial_onset:radial_motion:..\n")
+    no_subjects = tmp_path / "man.json"
+    no_subjects.write_text(json.dumps({"tasks": []}))
+    no_recording = tmp_path / "man2.json"
+    no_recording.write_text(json.dumps({"subjects": [{"id": "S1", "tasks": [
+        {"task": 1, "paradigm": "radial_motion", "targets": [8.0], "markers": "m.csv"}
+    ]}]}))
+    bad_seed = tmp_path / "synth.json"
+    bad_seed.write_text(json.dumps({"seed": "x"}))
+    out = str(tmp_path / "z.json")
+    cases = [
+        (["analyze", "--recording", str(rec), "--markers", str(dots), "--task", "2",
+          "--out", out], [str(dots), "trial_onset:radial_motion:.."]),
+        (["analyze", "--dataset", str(no_subjects), "--out", out],
+         [str(no_subjects), "'subjects'"]),
+        (["analyze", "--dataset", str(no_recording), "--out", out],
+         [str(no_recording), "'recording'"]),
+        (["synth", "--config", str(bad_seed), "--out", str(tmp_path / "ds")],
+         [str(bad_seed), "seed"]),
+    ]
+    capsys.readouterr()
+    for argv, named in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert all(n in err for n in named), err
+
+
+def test_cli_decisions_analyze_once(tiny_dataset, tmp_path, monkeypatch):
+    import veplab.cli
+    import veplab.pipeline
+
+    out, manifest = tiny_dataset
+    task = manifest["subjects"][0]["tasks"][0]
+    calls = []
+    original = veplab.pipeline.analyze_recording
+
+    def counting(cfg):
+        calls.append(cfg)
+        return original(cfg)
+
+    monkeypatch.setattr(veplab.pipeline, "analyze_recording", counting)
+    monkeypatch.setattr(veplab.cli, "analyze_recording", counting)
+    argv = ["analyze", "--recording", str(out / task["recording"]),
+            "--markers", str(out / task["markers"]), "--task", "2"]
+    with_dec, without = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(argv + ["--out", str(with_dec), "--decisions",
+                        str(tmp_path / "dec.csv")]) == 0
+    assert len(calls) == 1
+    assert main(argv + ["--out", str(without)]) == 0
+    assert with_dec.read_bytes() == without.read_bytes()
 
 
 def test_markdown_is_pipe_table(tiny_dataset):

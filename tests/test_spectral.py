@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from veplab import TrialEpoch, psd_boxcar, snr_at, snr_spectrum
-from veplab.spectral import PowerSpectrum, dump_spectrum_csv
+from veplab.spectral import PowerSpectrum
 from veplab.errors import InputError
 
 FS = 500.0
@@ -150,12 +150,3 @@ def test_snr_at_72_on_quarter_hz_grid():
     assert out.bin_freq_hz == 72.0
     np.testing.assert_array_equal(out.snr_db, snr.snr_db[:, 288])
 
-
-def test_dump_spectrum_csv(tmp_path):
-    psd = PowerSpectrum(np.arange(4) * 0.5, np.arange(8, dtype=float).reshape(2, 4), 0.5)
-    p = tmp_path / "spec.csv"
-    dump_spectrum_csv(psd.freqs_hz, psd.power, ["a", "b"], p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "freq_hz,a,b"
-    assert lines[1] == "0.0,0.0,4.0"
-    assert len(lines) == 5
