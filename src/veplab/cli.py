@@ -14,6 +14,7 @@ from dataclasses import MISSING, fields, replace
 
 from .decode import Decision
 from .errors import DegenerateDataError, InputError
+from .model import json_value
 from .pipeline import (
     Report,
     analyze_dataset,
@@ -58,58 +59,62 @@ def _cmd_stimgen(args) -> int:
     return 0
 
 
-def _load_synth_config(path) -> tuple[SynthConfig, SynthProtocol | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not valid JSON: {exc}")
+# element types of the array and object fields a synth config may set
+_JSON_ITEMS = {"channel_gains": float, "targets_hz": float, "tasks": dict}
+
+
+def _json_fields(where: str, cls, raw, **required) -> dict:
+    """Keyword arguments for the dataclass cls read from the JSON object raw.
+
+    Each field must have the JSON type of its default; fields without one
+    must be present, with the type given in required. Unknown keys are
+    rejected and number fields become floats.
+    """
     if not isinstance(raw, dict):
-        raise InputError(f"{path}: top level must be a JSON object")
-    protocol = None
-    proto_raw = raw.pop("protocol", None)
-    known = {f.name: f for f in fields(SynthConfig)}
-    unknown = set(raw) - set(known)
+        raise InputError(f"{where} must be a JSON object")
+    unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
-        raise InputError(f"{path}: unknown config fields {sorted(unknown)}")
-    # each value must have the JSON type of its field's default
-    for name, value in raw.items():
-        f = known[name]
-        kind = type(f.default if f.default is not MISSING else f.default_factory())
-        if isinstance(value, bool) or not isinstance(
-            value, (int, float) if kind is float else kind
-        ):
-            raise InputError(
-                f"{path}: {name} must be a JSON {kind.__name__}, got {value!r}"
-            )
-    gains = raw.get("channel_gains", {}).values()
-    if not all(isinstance(g, (int, float)) and not isinstance(g, bool) for g in gains):
-        raise InputError(f"{path}: channel_gains values must be numbers")
+        raise InputError(f"{where}: unknown keys {sorted(unknown)}")
+    values = {}
+    for f in fields(cls):
+        if f.name in required:
+            kind = required[f.name]
+        else:
+            kind = type(f.default if f.default is not MISSING else f.default_factory())
+        value = json_value(
+            raw, f.name, kind, where, item=_JSON_ITEMS.get(f.name),
+            required=f.name in required,
+        )
+        if value is not None:
+            values[f.name] = float(value) if kind is float else value
+    return values
+
+
+def _load_synth_config(path) -> tuple[SynthConfig, SynthProtocol | None]:
     try:
-        cfg = SynthConfig(**raw)
-        if proto_raw is not None:
-            tasks = tuple(
-                TaskProtocol(
-                    paradigm=t["paradigm"],
-                    targets_hz=tuple(float(f) for f in t["targets_hz"]),
-                    trials_per_target=int(t["trials_per_target"]),
-                    trial_s=float(t.get("trial_s", 5.0)),
-                    rest_s=float(t.get("rest_s", 5.0)),
-                )
-                for t in proto_raw["tasks"]
-            )
-            protocol = SynthProtocol(
-                tasks=tasks,
-                n_subjects=int(proto_raw.get("n_subjects", 14)),
-                fs_hz=float(proto_raw.get("fs_hz", 500.0)),
-            )
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as exc:
+        # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise InputError(f"{path}: not valid JSON: {exc}") from None
+    proto_raw = raw.pop("protocol", None) if isinstance(raw, dict) else None
+    values = _json_fields(path, SynthConfig, raw)
+    try:
+        cfg = SynthConfig(**values)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
-    except KeyError as exc:
-        raise InputError(f"{path}: missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: malformed config: {exc}") from None
-    return cfg, protocol
+    if proto_raw is None:
+        return cfg, None
+    proto = _json_fields(f"{path}: protocol", SynthProtocol, proto_raw, tasks=list)
+    tasks = []
+    for k, task_raw in enumerate(proto["tasks"]):
+        task = _json_fields(
+            f"{path}: protocol task {k}", TaskProtocol, task_raw,
+            paradigm=str, targets_hz=list, trials_per_target=int,
+        )
+        task["targets_hz"] = tuple(float(f) for f in task["targets_hz"])
+        tasks.append(TaskProtocol(**task))
+    return cfg, SynthProtocol(**dict(proto, tasks=tuple(tasks)))
 
 
 def _cmd_synth(args) -> int:
@@ -185,7 +190,7 @@ def _cmd_stats(args) -> int:
             entry["rows"].extend(t["rows"])
     combined = Report(tasks=[merged[k] for k in sorted(merged)])
     out = stats_report(combined, test=args.test, metric=args.metric)
-    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(out, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -242,7 +247,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegenerateDataError as exc:

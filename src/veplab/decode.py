@@ -1,11 +1,13 @@
 """Target recognition: CCA against sin/cos harmonic references, its filter-bank
 extension, and threshold-based onset detection for the single-target task.
 
-The canonical correlation is solved from the generalized eigenvalue
-formulation on centered covariance matrices, with a small trace-scaled ridge
-for conditioning. Filter-bank decisions combine per-band correlations as
-sum_m w(m) * rho_m^2 with w(m) = m**-a + b and pick the argmax target (ties
-break toward the lowest index).
+The largest canonical correlation is the largest singular value of
+Qx^T Qy, where Qx and Qy are orthonormal bases of the centered row spaces of
+the two variable sets (Bjorck & Golub 1973). The bases come from an SVD that
+drops null directions, so a rank-deficient epoch (a virtual channel that is
+the mean of two recorded ones) needs no regularisation. Filter-bank decisions
+combine per-band correlations as sum_m w(m) * rho_m^2 with w(m) = m**-a + b
+and pick the argmax target (ties break toward the lowest index).
 """
 
 from __future__ import annotations
@@ -13,13 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, eigh, solve, solve_triangular
+from scipy.linalg import orth, svdvals
 
 from .dsp import BandpassSpec, bandpass
 from .errors import DegenerateDataError, InputError
 from .model import TrialEpoch
-
-_RIDGE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -125,69 +125,48 @@ def cca_corr(X: np.ndarray, Y: np.ndarray) -> float:
     for name, m in (("X", Xc), ("Y", Yc)):
         if np.any(np.sum(m**2, axis=1) == 0.0):
             raise DegenerateDataError(f"{name} has a zero-variance row")
-    cxx = Xc @ Xc.T / n
-    cyy = Yc @ Yc.T / n
-    cxy = Xc @ Yc.T / n
-    # trace-scaled ridge conditions the generalized eigenproblem; the reported
-    # rho is the exact correlation of the resulting projections, so the ridge
-    # does not bias the statistic
-    cxx += _RIDGE * np.trace(cxx) * np.eye(cxx.shape[0])
-    cyy += _RIDGE * np.trace(cyy) * np.eye(cyy.shape[0])
-    # rho^2 = max eig of Lx^-1 Cxy Cyy^-1 Cyx Lx^-T with Cxx = Lx Lx^T
-    lx = cholesky(cxx, lower=True)
-    w = solve_triangular(lx, cxy, lower=True)
-    m = w @ solve(cyy, w.T, assume_a="pos")
-    m = (m + m.T) / 2.0
-    _, vecs = eigh(m)
-    a = solve_triangular(lx, vecs[:, -1], lower=True, trans="T")
-    b = solve(cyy, cxy.T @ a, assume_a="pos")
-    u = a @ Xc
-    v = b @ Yc
-    denom = np.sqrt(np.dot(u, u) * np.dot(v, v))
-    if denom == 0.0:
-        return 0.0
-    rho = abs(float(np.dot(u, v) / denom))
+    rho = float(svdvals(orth(Xc.T).T @ orth(Yc.T))[0])
     return min(rho, 1.0)
 
 
-def default_filter_bank(
-    targets_hz,
-    ceiling_hz: float,
-    max_bands: int = 5,
-    min_width_hz: float = 2.0,
-    lo_margin_hz: float = 2.0,
-    weight_a: float = 1.25,
-    weight_b: float = 0.25,
-) -> FilterBankConfig:
-    """Sub-bands starting at successive multiples of the lowest target,
-    all capped at ceiling_hz.
+def default_filter_bank(targets_hz, ceiling_hz: float) -> FilterBankConfig:
+    """Up to 5 sub-bands starting at successive multiples of the lowest target,
+    all capped at ceiling_hz, with FilterBankConfig's default weights.
 
-    Each corner is lowered by lo_margin_hz so the filter's roll-off does not
-    attenuate the fundamental sitting right at the nominal multiple.
+    Each corner is lowered by a 2 Hz margin so the filter's roll-off does not
+    attenuate the fundamental sitting right at the nominal multiple. A band
+    whose nominal corner lies within 2 Hz of the ceiling is not added, but
+    the band of the fundamental is always kept.
     """
     f_min = min(float(f) for f in targets_hz)
-    bands = []
-    for m in range(1, max_bands + 1):
+    bands = [(max(1.0, f_min - 2.0), float(ceiling_hz))]
+    for m in range(2, 6):
         lo = m * f_min
-        if ceiling_hz - lo < min_width_hz:
+        if ceiling_hz - lo < 2.0:
             break
-        bands.append((max(1.0, lo - lo_margin_hz), float(ceiling_hz)))
-    if not bands:
-        bands = [(max(1.0, f_min - lo_margin_hz), float(ceiling_hz))]
-    return FilterBankConfig(tuple(bands), weight_a=weight_a, weight_b=weight_b)
+        bands.append((max(1.0, lo - 2.0), float(ceiling_hz)))
+    return FilterBankConfig(tuple(bands))
 
 
-def fbcca_decide(
-    epoch: TrialEpoch, refs: ReferenceSet, bank: FilterBankConfig
-) -> Decision:
-    """Filter-bank CCA: weighted sum of squared per-band correlations."""
+def _check_references(epoch: TrialEpoch, refs: ReferenceSet) -> None:
+    """References must be sampled like the epoch they are correlated with."""
     if refs.n_samples != epoch.n_samples:
         raise InputError(
             f"references built for {refs.n_samples} samples but epoch has "
             f"{epoch.n_samples}"
         )
     if refs.fs_hz != epoch.sample_rate_hz:
-        raise InputError("reference and epoch sample rates differ")
+        raise InputError(
+            f"references built for {refs.fs_hz} Hz but epoch is sampled at "
+            f"{epoch.sample_rate_hz} Hz"
+        )
+
+
+def fbcca_decide(
+    epoch: TrialEpoch, refs: ReferenceSet, bank: FilterBankConfig
+) -> Decision:
+    """Filter-bank CCA: weighted sum of squared per-band correlations."""
+    _check_references(epoch, refs)
     weights = bank.weights()
     rho = np.zeros(len(refs))
     for m, (lo, hi) in enumerate(bank.bands):
@@ -214,8 +193,7 @@ def detect_onset(
         raise InputError("onset detection expects a single-target reference set")
     if not 0.0 < threshold <= 1.0:
         raise InputError(f"threshold must be in (0, 1], got {threshold}")
-    if ref.n_samples != epoch.n_samples:
-        raise InputError("reference length does not match epoch")
+    _check_references(epoch, ref)
     try:
         rho = cca_corr(epoch.samples, ref.matrices[0])
     except DegenerateDataError:

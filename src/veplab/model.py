@@ -3,13 +3,17 @@
 Recording CSV: UTF-8, header ``time_s,<ch1>,<ch2>,...``, one row per sample,
 dot-decimal floats. Marker CSV: header ``time_s,label``. Floats are written
 with Python's shortest round-trip representation, so save/load round-trips
-are bit-exact.
+are bit-exact. Sample times must be evenly spaced to within 1 %.
+
+`json_value` is the typed-key check shared by the JSON readers (dataset
+manifest, synth config).
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +36,45 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     a.setflags(write=False)
     return a
+
+
+_JSON_NAMES = {
+    int: "integer", float: "finite number", str: "string", list: "array", dict: "object"
+}
+
+
+def _is_json(value, kind) -> bool:
+    # JSON keeps booleans apart from numbers, Python counts them as integers
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        # false for NaN, infinities and integers too large for a float
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def json_value(obj: dict, key: str, kind, where: str, item=None, required=True):
+    """obj[key] once it has the JSON type kind, and every element (or object
+    value) the type item; None when an optional key is absent.
+
+    float stands for a finite number, integers included. Errors name where
+    and the key.
+    """
+    if key not in obj:
+        if required:
+            raise InputError(f"{where}: missing key {key!r}")
+        return None
+    value = obj[key]
+    if not _is_json(value, kind):
+        raise InputError(
+            f"{where}: {key} must be a JSON {_JSON_NAMES[kind]}, got {value!r}"
+        )
+    elements = value.values() if isinstance(value, dict) else value
+    if item is not None and not all(_is_json(v, item) for v in elements):
+        raise InputError(
+            f"{where}: every element of {key} must be a JSON {_JSON_NAMES[item]}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -195,7 +238,8 @@ def save_recording(rec: Recording, path) -> None:
 
 
 def load_recording(path) -> Recording:
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become U+FFFD, which the row checks then reject
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().rstrip("\n")
         fields = header.split(",")
         if len(fields) < 2 or fields[0] != "time_s":
@@ -231,6 +275,18 @@ def load_recording(path) -> Recording:
     fs = (len(tarr) - 1) / (tarr[-1] - tarr[0])
     # snap to 9 significant digits so nominal rates (500, 250, ...) are exact
     fs = float(f"{fs:.9g}")
+    # A dropped row or a gap barely moves fs, which comes from the end
+    # timestamps, but doubles one step. Steps are compared with their median,
+    # which a few bad steps cannot shift, so the first bad row is named even
+    # in a short file.
+    step = float(np.median(dt))
+    off = np.abs(dt - step) > 0.01 * step
+    if np.any(off):
+        i = int(np.argmax(off))
+        raise ParseError(
+            f"{path}: row {i + 3} is {dt[i]:.9g} s after the previous row, "
+            f"more than 1 % away from the sampling interval {step:.9g} s"
+        )
     return Recording(
         sample_rate_hz=fs,
         layout=ChannelLayout(names),
@@ -249,7 +305,7 @@ def save_markers(markers: MarkerStream, path) -> None:
 
 def load_markers(path) -> MarkerStream:
     events = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().rstrip("\n")
         if header != "time_s,label":
             raise ParseError(f"{path}: bad header {header!r}; expected time_s,label")
@@ -262,6 +318,8 @@ def load_markers(path) -> MarkerStream:
                 t = float(t_str)
             except ValueError:
                 raise ParseError(f"{path}: row {i} is not time_s,label") from None
+            if not math.isfinite(t):
+                raise ParseError(f"{path}: row {i} has a non-finite time")
             events.append((t, label))
     try:
         return MarkerStream(tuple(events))
@@ -307,10 +365,13 @@ def extract_epochs(
     if end_off <= start_off:
         raise InputError(f"empty epoch window {window_s}")
     fs = rec.sample_rate_hz
-    n_win = round((end_off - start_off) * fs)
+    # capped so round() never meets an overflowed product; a capped index
+    # lies outside the recording and fails the bounds check
+    cap = rec.n_samples + 1.0
+    n_win = round(min((end_off - start_off) * fs, cap))
     epochs = []
     for t, paradigm, freq in markers.with_prefix(marker_prefix):
-        i0 = round((t + start_off - rec.t0) * fs)
+        i0 = round(min(max((t + start_off - rec.t0) * fs, -cap), cap))
         i1 = i0 + n_win
         if i0 < 0 or i1 > rec.n_samples:
             raise InputError(

@@ -32,6 +32,7 @@ from .model import (
     TrialEpoch,
     derive_virtual_channel,
     extract_epochs,
+    json_value,
     load_markers,
     load_recording,
 )
@@ -215,6 +216,13 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
     refs = make_references(cfg.targets_hz, n_harm, fs, n_segment)
     bank = cfg.filter_bank(fs)
 
+    def onset_decision(narrow: TrialEpoch, trial: int) -> Decision:
+        # single-target on/off call runs on the band-passed epoch
+        segment = _post_skip(narrow, cfg)
+        return _staged(
+            "decode", trial, detect_onset, segment, refs, cfg.onset_threshold
+        )
+
     trials = []
     for i, epoch in enumerate(epochs):
         narrow = _preprocess(epoch, cfg, i)
@@ -222,11 +230,7 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
         snr = _staged("snr", i, snr_spectrum, psd, cfg.snr_neighbors, cfg.snr_skip)
         readout = _staged("snr", i, snr_at, snr, epoch.target_freq_hz)
         if cfg.onset_mode:
-            # single-target on/off call runs on the band-passed epoch
-            segment = _post_skip(narrow, cfg)
-            decision = _staged(
-                "decode", i, detect_onset, segment, refs, cfg.onset_threshold
-            )
+            decision = onset_decision(narrow, i)
         else:
             # FB-CCA applies its own sub-band filters; feed it the
             # line-cleaned but otherwise full-band epoch so reference
@@ -256,12 +260,10 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
             cfg.trial_window_s,
             marker_prefix=MARKER_OFFSET,
         )
-        for i, epoch in enumerate(rest_epochs):
-            clean = _preprocess(epoch, cfg, i)
-            segment = _post_skip(clean, cfg)
-            offset_decisions.append(
-                _staged("decode", i, detect_onset, segment, refs, cfg.onset_threshold)
-            )
+        offset_decisions = [
+            onset_decision(_preprocess(epoch, cfg, i), i)
+            for i, epoch in enumerate(rest_epochs)
+        ]
 
     subject = cfg.subject or os.path.basename(str(cfg.recording_path)).split("_")[0]
     return SubjectTaskResult(
@@ -280,6 +282,12 @@ def _round4(x: float) -> float:
 
 def _row_from_result(result: SubjectTaskResult, fatigue: float | None) -> dict:
     overall, per_target = result.accuracy()
+    for f, snr_db in result.per_target_snr_db().items():
+        if not math.isfinite(snr_db):
+            raise DegenerateDataError(
+                f"subject {result.subject}, task {result.task}: SNR at target "
+                f"{f!r} Hz is {snr_db}"
+            )
     return {
         "subject": result.subject,
         "snr_db": _round4(result.snr_db_mean()),
@@ -314,7 +322,8 @@ class Report:
     tasks: list[dict]
 
     def to_json(self) -> str:
-        return json.dumps({"tasks": self.tasks}, indent=2, sort_keys=True) + "\n"
+        body = {"tasks": self.tasks}
+        return json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def to_markdown(self) -> str:
         if not self.tasks:
@@ -373,48 +382,77 @@ def run_pipeline(cfg: PipelineConfig, fatigue: float | None = None) -> Report:
     return result_report(cfg, analyze_recording(cfg), fatigue)
 
 
-def analyze_dataset(manifest_path) -> Report:
-    """Analyze every subject/task pair listed in a synthetic-dataset manifest."""
-    manifest_path = str(manifest_path)
+def _vasf_score(items, where: str, baseline=None) -> vstats.VasfScore:
+    try:
+        return vstats.score_vasf(items, baseline=baseline)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
+
+
+def _manifest_entries(manifest_path: str) -> list[tuple[PipelineConfig, float | None]]:
+    """Config and fatigue score of every subject/task pair in a manifest.
+
+    Every entry is read and checked, its files included, before any is
+    analyzed, so a malformed one fails fast; errors name the manifest, the
+    subject, the task and the key.
+    """
     base = os.path.dirname(manifest_path)
-    # read every entry before analyzing any, so a malformed one fails fast
-    entries: list[tuple[PipelineConfig, float | None]] = []
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        for subj in manifest["subjects"]:
-            baseline_items = subj.get("vasf_baseline_items")
-            baseline = (
-                vstats.score_vasf(baseline_items) if baseline_items is not None else None
-            )
-            for task_entry in subj["tasks"]:
-                paradigm = task_entry["paradigm"]
-                if paradigm not in PARADIGM_BANDS:
-                    raise InputError(f"{manifest_path}: unknown paradigm {paradigm!r}")
-                cfg = _paradigm_config(
-                    int(task_entry["task"]),
-                    paradigm,
-                    (float(f) for f in task_entry["targets"]),
-                    recording_path=os.path.join(base, task_entry["recording"]),
-                    markers_path=os.path.join(base, task_entry["markers"]),
-                    subject=subj["id"],
-                    trial_window_s=(0.0, float(task_entry.get("trial_s", 5.0))),
-                )
-                fatigue = None
-                items = task_entry.get("vasf_items")
-                if items is not None and baseline is not None:
-                    fatigue = vstats.score_vasf(items, baseline=baseline).fatigue
-                entries.append((cfg, fatigue))
     except OSError as exc:
         raise InputError(f"cannot read manifest: {exc}")
-    except KeyError as exc:
-        raise InputError(f"{manifest_path}: missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        # json.JSONDecodeError is a ValueError
+    except ValueError as exc:
+        # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise InputError(f"{manifest_path}: malformed manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise InputError(f"{manifest_path}: top level must be a JSON object")
+    entries: list[tuple[PipelineConfig, float | None]] = []
+    for subj in json_value(manifest, "subjects", list, manifest_path, item=dict):
+        sid = json_value(subj, "id", str, f"{manifest_path}: subject")
+        where = f"{manifest_path}: subject {sid}"
+        baseline_items = json_value(
+            subj, "vasf_baseline_items", list, where, item=float, required=False
+        )
+        baseline = None
+        if baseline_items is not None:
+            baseline = _vasf_score(baseline_items, f"{where}, vasf_baseline_items")
+        for task_entry in json_value(subj, "tasks", list, where, item=dict):
+            task = json_value(task_entry, "task", int, where)
+            at = f"{where}, task {task}"
+            paradigm = json_value(task_entry, "paradigm", str, at)
+            if paradigm not in PARADIGM_BANDS:
+                raise InputError(f"{at}: unknown paradigm {paradigm!r}")
+            targets = json_value(task_entry, "targets", list, at, item=float)
+            trial_s = json_value(task_entry, "trial_s", float, at, required=False)
+            paths = {}
+            for key in ("recording", "markers"):
+                paths[key] = os.path.join(base, json_value(task_entry, key, str, at))
+                if not os.path.isfile(paths[key]):
+                    raise InputError(f"{at}: {key} {paths[key]!r} is not a file")
+            cfg = _paradigm_config(
+                task,
+                paradigm,
+                (float(f) for f in targets),
+                recording_path=paths["recording"],
+                markers_path=paths["markers"],
+                subject=sid,
+                trial_window_s=(0.0, 5.0 if trial_s is None else float(trial_s)),
+            )
+            fatigue = None
+            items = json_value(
+                task_entry, "vasf_items", list, at, item=float, required=False
+            )
+            if items is not None and baseline is not None:
+                fatigue = _vasf_score(items, f"{at}, vasf_items", baseline).fatigue
+            entries.append((cfg, fatigue))
+    return entries
 
+
+def analyze_dataset(manifest_path) -> Report:
+    """Analyze every subject/task pair listed in a synthetic-dataset manifest."""
     by_task: dict[int, tuple[PipelineConfig, list[dict]]] = {}
-    for cfg, fatigue in entries:
+    for cfg, fatigue in _manifest_entries(str(manifest_path)):
         row = _row_from_result(analyze_recording(cfg), fatigue)
         by_task.setdefault(cfg.task, (cfg, []))[1].append(row)
     return Report(tasks=[_task_entry(*by_task[t]) for t in sorted(by_task)])

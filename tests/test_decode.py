@@ -120,6 +120,9 @@ def test_rho_bounds_and_scaling_invariance():
         assert 0.0 <= rho <= 1.0
         scaled = np.diag(rng.uniform(0.5, 4.0, size=3)) @ X
         assert abs(cca_corr(scaled, refs.matrices[0]) - rho) <= 1e-9
+        # a virtual channel (the mean of two rows, like POz) adds no direction
+        virtual = np.vstack([X, X[:2].mean(axis=0)])
+        assert abs(cca_corr(virtual, refs.matrices[0]) - rho) <= 1e-12
 
 
 def make_epoch(target, amp=3.0, seed=0, duration=4.0):
@@ -200,6 +203,10 @@ def test_detect_onset_pass_and_fail():
     multi = make_references([8.0, 12.0], 2, FS, epoch.n_samples)
     with pytest.raises(InputError):
         detect_onset(epoch, multi, threshold=0.3)
+    # same sample count, other sample rate
+    other_fs = make_references([72.0], 3, 2 * FS, epoch.n_samples)
+    with pytest.raises(InputError, match="Hz"):
+        detect_onset(epoch, other_fs, threshold=0.3)
 
 
 def test_detect_onset_flat_epoch_is_off():
@@ -238,6 +245,8 @@ def test_default_filter_bank_layout():
     # roll-off margin, all capped at the ceiling
     bank = default_filter_bank([8.0, 12.0, 16.0], 17.0)
     assert bank.bands == ((6.0, 17.0),)
+    # the fundamental's band stays even when the ceiling is within 2 Hz of it
+    assert default_filter_bank([8.0], 9.0).bands == ((6.0, 9.0),)
     wide = default_filter_bank([8.0], 88.0)
     assert wide.bands == (
         (6.0, 88.0), (14.0, 88.0), (22.0, 88.0), (30.0, 88.0), (38.0, 88.0)

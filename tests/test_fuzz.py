@@ -1,0 +1,215 @@
+"""Property tests for the file boundaries: every generated file either loads or
+fails with InputError / DegenerateDataError, and `veplab analyze --dataset`
+exits 0, 2 or 3. Any other exception is a defect.
+
+Synthesis is never run on a generated config: only its loader is exercised.
+"""
+
+import copy
+import json
+from dataclasses import fields
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from veplab.cli import _load_synth_config, main
+from veplab.errors import DegenerateDataError, InputError
+from veplab.model import load_markers, load_recording
+from veplab.synth import SynthConfig, SynthProtocol, TaskProtocol, synth_dataset
+
+FUZZ = settings(max_examples=150, deadline=None)
+EXPECTED = (InputError, DegenerateDataError)
+
+# JSON values of every type, NaN and infinities included (json.load accepts them)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.just(10**400),  # parses as a Python int no float can hold
+    st.floats(),
+    st.text(max_size=6),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.dictionaries(st.text(max_size=6), kids, max_size=4)
+    ),
+    max_leaves=8,
+)
+numbers = st.one_of(st.floats(), st.integers(-5, 10**6))
+cells = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["", "x", "1e999", "-0", "0x10", " 1", "1_0", "\ufeff1"]),
+    st.text(max_size=5),
+)
+labels = st.one_of(
+    st.sampled_from(
+        ["baseline_start", "trial_onset:radial_motion:8.0", "trial_offset:gabor_pulse:72"]
+    ),
+    st.builds(
+        lambda kind, paradigm, freq: f"{kind}:{paradigm}:{freq}",
+        st.sampled_from(["trial_onset", "trial_offset", "baseline_start", "x"]),
+        st.text(max_size=6),
+        cells,
+    ),
+    st.text(max_size=12),
+)
+
+
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    return path
+
+
+@st.composite
+def recording_files(draw):
+    header = draw(st.one_of(st.just("time_s,Pz,Oz"), st.just("time_s"), st.text(max_size=12)))
+    rows = []
+    for i in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 3)):  # mostly well-formed rows at 500 Hz
+            values = draw(st.lists(numbers, min_size=2, max_size=2))
+            rows.append(",".join(repr(v) for v in [i / 500.0, *values]))
+        else:
+            rows.append(",".join(draw(st.lists(cells, max_size=4))))
+    text = "\n".join([header, *rows]) + "\n"
+    return draw(st.one_of(st.just(text), st.binary(max_size=64)))
+
+
+@st.composite
+def marker_files(draw):
+    header = draw(st.one_of(st.just("time_s,label"), st.text(max_size=12)))
+    rows = [
+        f"{draw(st.one_of(numbers.map(repr), cells))},{draw(labels)}"
+        if draw(st.integers(0, 3))
+        else draw(st.text(max_size=12))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    text = "\n".join([header, *rows]) + "\n"
+    return draw(st.one_of(st.just(text), st.binary(max_size=64)))
+
+
+def _objects(value_for: dict):
+    """JSON objects over the given keys and an unknown one, each present or
+    not, each value either plausible for its key or any JSON value."""
+    return st.fixed_dictionaries({}, optional={
+        key: st.one_of(value_for.get(key, json_values), json_values)
+        for key in [*value_for, "bogus"]
+    })
+
+
+task_protocols = _objects({
+    "paradigm": st.sampled_from(["pattern_reversal", "radial_motion", "gabor_pulse"]),
+    "targets_hz": st.lists(numbers, max_size=3),
+    "trials_per_target": st.integers(-2, 10),
+    "trial_s": numbers,
+    "rest_s": numbers,
+})
+protocols = _objects({
+    "tasks": st.lists(task_protocols, max_size=3),
+    "n_subjects": st.integers(-2, 20),
+    "fs_hz": numbers,
+    "baseline_s": numbers,
+    "lead_out_s": numbers,
+})
+synth_configs = _objects({
+    **{f.name: numbers for f in fields(SynthConfig)},
+    "n_harmonics": st.integers(-2, 5),
+    "seed": st.integers(-2, 2**40),
+    "channel_gains": st.dictionaries(st.text(max_size=4), numbers, max_size=3),
+    "protocol": protocols,
+})
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz_dataset")
+    protocol = SynthProtocol(
+        tasks=(
+            TaskProtocol("radial_motion", (8.0,), 1),
+            TaskProtocol("gabor_pulse", (72.0,), 1),
+        ),
+        n_subjects=1,
+    )
+    return out, synth_dataset(SynthConfig(seed=5), protocol, out)
+
+
+@FUZZ
+@given(content=recording_files())
+def test_load_recording_fails_only_with_input_error(work, content):
+    path = _write(work / "rec.csv", content)
+    try:
+        load_recording(path)
+    except EXPECTED:
+        pass
+
+
+@FUZZ
+@given(content=marker_files())
+def test_load_markers_fails_only_with_input_error(work, content):
+    path = _write(work / "markers.csv", content)
+    try:
+        load_markers(path)
+    except EXPECTED:
+        pass
+
+
+@FUZZ
+@given(config=st.one_of(synth_configs, json_values))
+def test_load_synth_config_fails_only_with_input_error(work, config):
+    path = _write(work / "synth.json", json.dumps(config))
+    try:
+        _load_synth_config(path)
+    except EXPECTED:
+        pass
+
+
+def _slots(node, found):
+    """Every (container, key) pair in a decoded JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        found.append((node, key))
+        if isinstance(value, (dict, list)):
+            _slots(value, found)
+    return found
+
+
+@st.composite
+def manifests(draw, base):
+    """The real manifest with a few values replaced or deleted."""
+    manifest = copy.deepcopy(base)
+    files = [t[k] for t in base["subjects"][0]["tasks"] for k in ("recording", "markers")]
+    values = st.one_of(
+        json_values,
+        st.sampled_from([0, -1, 1.7e308, "", ".", "missing.csv", [], {}, *files]),
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        slots = _slots(manifest, [])
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(values)
+    return draw(st.one_of(st.just(manifest), json_values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_analyze_dataset_exits_0_2_or_3(small_dataset, data):
+    out, base = small_dataset
+    manifest = data.draw(manifests(base))
+    path = _write(out / "fuzzed.json", json.dumps(manifest))
+    code = main(["analyze", "--dataset", str(path), "--out", str(out / "r.json")])
+    event(f"exit {code}")
+    assert code in (0, 2, 3)

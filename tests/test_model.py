@@ -69,6 +69,18 @@ def test_load_rejects_ragged_row(tmp_path):
         load_recording(p)
 
 
+def test_load_rejects_irregular_sampling(tmp_path):
+    # a dropped row leaves the end timestamps, and so the inferred fs, nearly
+    # unchanged; the step across the gap is twice the sampling interval
+    p = tmp_path / "rec.csv"
+    save_recording(make_recording(np.random.default_rng(5), n=20), p)
+    lines = p.read_text().splitlines(keepends=True)
+    del lines[10]  # file row 11
+    p.write_text("".join(lines))
+    with pytest.raises(ParseError, match="row 11 .* 1 % away"):
+        load_recording(p)
+
+
 def test_load_rejects_bad_header(tmp_path):
     p = tmp_path / "rec.csv"
     p.write_text("t,a\n0.0,1.0\n")
@@ -107,6 +119,9 @@ def test_markers_roundtrip_and_vocabulary(tmp_path):
         MarkerStream(((0.0, "not_a_label"),))
     with pytest.raises(InputError):
         MarkerStream(((1.0, "baseline_start"), (0.5, "baseline_start")))
+    p.write_text("time_s,label\n0.0,baseline_start\nnan,baseline_start\n")
+    with pytest.raises(ParseError, match="row 3 has a non-finite time"):
+        load_markers(p)
 
 
 def test_derive_virtual_channel_mean():

@@ -231,8 +231,19 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     no_recording.write_text(json.dumps({"subjects": [{"id": "S1", "tasks": [
         {"task": 1, "paradigm": "radial_motion", "targets": [8.0], "markers": "m.csv"}
     ]}]}))
+    int_subjects = tmp_path / "man3.json"
+    int_subjects.write_text(json.dumps({"subjects": 3}))
+    missing_file = tmp_path / "man4.json"
+    missing_file.write_text(json.dumps({"subjects": [{"id": "S7", "tasks": [
+        {"task": 2, "paradigm": "radial_motion", "targets": [8.0],
+         "recording": "r", "markers": "m.csv"}
+    ]}]}))
     bad_seed = tmp_path / "synth.json"
     bad_seed.write_text(json.dumps({"seed": "x"}))
+    bogus_protocol = tmp_path / "synth2.json"
+    bogus_protocol.write_text(
+        json.dumps({"protocol": {"tasks": [], "baseline_s": 99, "bogus": 1}})
+    )
     out = str(tmp_path / "z.json")
     cases = [
         (["analyze", "--recording", str(rec), "--markers", str(dots), "--task", "2",
@@ -241,14 +252,53 @@ def test_cli_error_exit_codes(tmp_path, capsys):
          [str(no_subjects), "'subjects'"]),
         (["analyze", "--dataset", str(no_recording), "--out", out],
          [str(no_recording), "'recording'"]),
+        (["analyze", "--dataset", str(int_subjects), "--out", out],
+         [str(int_subjects), "subjects"]),
+        (["analyze", "--dataset", str(missing_file), "--out", out],
+         [str(missing_file), "subject S7", "task 2", "recording"]),
         (["synth", "--config", str(bad_seed), "--out", str(tmp_path / "ds")],
          [str(bad_seed), "seed"]),
+        (["synth", "--config", str(bogus_protocol), "--out", str(tmp_path / "ds")],
+         [str(bogus_protocol), "protocol", "'bogus'"]),
     ]
     capsys.readouterr()
     for argv, named in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert all(n in err for n in named), err
+
+
+def test_synth_config_reads_every_protocol_field(tmp_path):
+    from veplab.cli import _load_synth_config
+
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({"protocol": {
+        "tasks": [{"paradigm": "gabor_pulse", "targets_hz": [72], "trials_per_target": 2,
+                   "rest_s": 4}],
+        "baseline_s": 12, "lead_out_s": 1.5, "fs_hz": 250,
+    }}))
+    _, protocol = _load_synth_config(path)
+    assert (protocol.baseline_s, protocol.lead_out_s, protocol.fs_hz) == (12.0, 1.5, 250.0)
+    assert protocol.tasks == (TaskProtocol("gabor_pulse", (72.0,), 2, rest_s=4.0),)
+
+
+def test_non_finite_snr_is_degenerate_not_nan(tiny_dataset, tmp_path, capsys):
+    # a 0.6 Hz target lies far below the radial-motion analysis band, so its
+    # SNR is 0/0; the report must not carry the NaN
+    out, manifest = tiny_dataset
+    task = manifest["subjects"][0]["tasks"][0]
+    markers = tmp_path / "markers.csv"
+    markers.write_text((out / task["markers"]).read_text().replace(":8.0", ":0.6"))
+    report = tmp_path / "r.json"
+    argv = ["analyze", "--recording", str(out / task["recording"]),
+            "--markers", str(markers), "--task", "2", "--out", str(report)]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert all(n in err for n in ("subject sub01", "task 2", "0.6 Hz")), err
+    assert not report.exists()
+    with pytest.raises(ValueError):
+        Report(tasks=[{"rows": [{"snr_db": float("nan")}]}]).to_json()
 
 
 def test_cli_decisions_analyze_once(tiny_dataset, tmp_path, monkeypatch):
