@@ -170,17 +170,39 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _report_tasks(path, data: dict) -> list[dict]:
+    """The tasks of a report JSON once every row value has its JSON type;
+    errors name the file, the task, the subject and the key."""
+    tasks = json_value(data, "tasks", list, path, item=dict)
+    for t in tasks:
+        task = json_value(t, "task", int, path)
+        where = f"{path}: task {task}"
+        for k, row in enumerate(json_value(t, "rows", list, where, item=dict)):
+            subject = json_value(row, "subject", str, f"{where}, row {k}")
+            at = f"{where}, subject {subject}"
+            json_value(row, "snr_db", float, at)
+            json_value(row, "accuracy_pct", float, at)
+            # fatigue is null for a subject without questionnaire scores
+            if "fatigue" not in row or row["fatigue"] is not None:
+                json_value(row, "fatigue", float, at)
+            for key in ("per_target_snr_db", "per_target_accuracy_pct"):
+                json_value(row, key, dict, at, item=float)
+    return tasks
+
+
 def _cmd_stats(args) -> int:
     reports = []
     for name in sorted(os.listdir(args.reports)):
         if name.endswith(".json"):
-            with open(os.path.join(args.reports, name), "r", encoding="utf-8") as fh:
+            path = os.path.join(args.reports, name)
+            with open(path, "r", encoding="utf-8") as fh:
                 try:
                     data = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise InputError(f"{name}: not a report JSON: {exc}")
-            if "tasks" in data:
-                reports.append(Report(tasks=data["tasks"]))
+                except ValueError as exc:
+                    # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
+                    raise InputError(f"{path}: not a report JSON: {exc}") from None
+            if isinstance(data, dict) and "tasks" in data:
+                reports.append(Report(tasks=_report_tasks(path, data)))
     if not reports:
         raise InputError(f"no report JSON files found in {args.reports}")
     merged: dict[int, dict] = {}

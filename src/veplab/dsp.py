@@ -9,6 +9,7 @@ artifacts by windowed principal-subspace cleaning calibrated on the quietest
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,16 +35,18 @@ class BandpassSpec:
             raise InputError("filter order must be >= 1")
 
 
+@functools.lru_cache(maxsize=64)
+def _butter_sos(order: int, lo_hz: float, hi_hz: float, fs_hz: float) -> np.ndarray:
+    # One design per distinct band; a pipeline run uses about a dozen. The
+    # array is shared by every caller and stays writable because sosfiltfilt
+    # rejects a read-only one, so it must not leave this module.
+    return signal.butter(order, [lo_hz, hi_hz], btype="bandpass", output="sos", fs=fs_hz)
+
+
 def bandpass(epoch: TrialEpoch, spec: BandpassSpec) -> TrialEpoch:
     """Forward-backward Butterworth band-pass, per channel, length preserved."""
     spec.validate(epoch.sample_rate_hz)
-    sos = signal.butter(
-        spec.order,
-        [spec.lo_hz, spec.hi_hz],
-        btype="bandpass",
-        output="sos",
-        fs=epoch.sample_rate_hz,
-    )
+    sos = _butter_sos(spec.order, spec.lo_hz, spec.hi_hz, epoch.sample_rate_hz)
     filtered = signal.sosfiltfilt(sos, epoch.samples, axis=1)
     return epoch.replace_samples(filtered)
 

@@ -3,7 +3,9 @@
 Recording CSV: UTF-8, header ``time_s,<ch1>,<ch2>,...``, one row per sample,
 dot-decimal floats. Marker CSV: header ``time_s,label``. Floats are written
 with Python's shortest round-trip representation, so save/load round-trips
-are bit-exact. Sample times must be evenly spaced to within 1 %.
+are bit-exact. Sample times must be evenly spaced to within 1 %. A recording
+body is parsed by numpy's reader; the per-row parser runs only to name a bad
+row, and both read every file to the same bits or the same error.
 
 `json_value` is the typed-key check shared by the JSON readers (dataset
 manifest, synth config).
@@ -119,8 +121,10 @@ class Recording:
                 f"samples have {samples.shape[0]} rows but layout has "
                 f"{len(self.layout)} channels"
             )
-        if self.sample_rate_hz <= 0:
-            raise InputError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise InputError(
+                f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}"
+            )
         if not np.all(np.isfinite(samples)):
             raise InputError("recording samples must be finite")
         object.__setattr__(self, "samples", _readonly(samples))
@@ -221,20 +225,71 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# rows per %-format call; bounds the text built at once (~340 kB at 4 channels)
+_BLOCK_ROWS = 4096
+
+# numpy's reader strips these characters around a number as whitespace,
+# float() does not
+_READER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
 def save_recording(rec: Recording, path) -> None:
-    times = rec.times()
-    cols = rec.samples
+    table = np.column_stack([rec.times(), rec.samples.T])
+    # %r of a Python float is its repr, the canonical formatter of _fmt
+    row_fmt = ",".join(["%r"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time_s," + ",".join(rec.layout.names) + "\n")
-        # tolist() up front: iterating python floats is much faster than np scalars
-        tlist = times.tolist()
-        rows = cols.T.tolist()
-        for t, row in zip(tlist, rows):
-            fh.write(_fmt(t))
-            for v in row:
-                fh.write(",")
-                fh.write(_fmt(v))
-            fh.write("\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start : start + _BLOCK_ROWS]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _parse_rows(fh, path, ncol: int) -> np.ndarray:
+    """Rows x ncol table of the lines left in fh, parsed one row at a time with
+    float(), so that the first bad row is named. Blank lines are skipped."""
+    rows: list[list[float]] = []
+    for i, line in enumerate(fh, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != ncol:
+            raise ParseError(f"{path}: row {i} has {len(parts)} fields, expected {ncol}")
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError:
+            raise ParseError(f"{path}: row {i} has a non-numeric cell") from None
+        if not all(map(math.isfinite, vals)):
+            raise ParseError(f"{path}: row {i} has a non-finite value")
+        rows.append(vals)
+    return np.array(rows, dtype=np.float64).reshape(-1, ncol)
+
+
+def _parse_table(fh, path, ncol: int) -> np.ndarray:
+    """Rows x ncol table of the lines left in fh.
+
+    numpy's reader parses the body when it can, to the same bits as float();
+    the per-row parser runs only where the two may disagree or the reader
+    fails, and names the bad row.
+    """
+    body = fh.tell()
+    # The reader warns instead of raising on an all-blank body. The body is
+    # scanned 1 MB at a time, so a long recording is never held as text.
+    plain, blank = True, True
+    while plain and (chunk := fh.read(1 << 20)):
+        plain = not any(c in chunk for c in _READER_ONLY_SPACE)
+        blank = blank and not chunk.strip("\n")
+    fh.seek(body)
+    if plain and not blank:
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if table.shape[1] == ncol and np.all(np.isfinite(table)):
+                return table
+        fh.seek(body)
+    return _parse_rows(fh, path, ncol)
 
 
 def load_recording(path) -> Recording:
@@ -245,34 +300,17 @@ def load_recording(path) -> Recording:
         if len(fields) < 2 or fields[0] != "time_s":
             raise ParseError(f"{path}: bad header {header!r}; expected time_s,<ch>,...")
         names = tuple(fields[1:])
-        ncol = len(fields)
-        times: list[float] = []
-        data: list[list[float]] = []
-        for i, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != ncol:
-                raise ParseError(
-                    f"{path}: row {i} has {len(parts)} fields, expected {ncol}"
-                )
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                raise ParseError(f"{path}: row {i} has a non-numeric cell") from None
-            if not all(map(math.isfinite, vals)):
-                raise ParseError(f"{path}: row {i} has a non-finite value")
-            times.append(vals[0])
-            data.append(vals[1:])
-    if len(times) < 2:
+        table = _parse_table(fh, path, len(fields))
+    if len(table) < 2:
         raise ParseError(f"{path}: need at least 2 sample rows to infer sample rate")
-    tarr = np.array(times)
+    tarr = table[:, 0].copy()
     dt = np.diff(tarr)
     if np.any(dt <= 0):
         row = int(np.argmax(dt <= 0)) + 3  # +2 header/1-based, +1 second row of pair
         raise ParseError(f"{path}: timestamps not increasing at row {row}")
-    fs = (len(tarr) - 1) / (tarr[-1] - tarr[0])
+    # Python float division: a tiny span gives inf without a numpy warning,
+    # and Recording rejects it
+    fs = (len(tarr) - 1) / float(tarr[-1] - tarr[0])
     # snap to 9 significant digits so nominal rates (500, 250, ...) are exact
     fs = float(f"{fs:.9g}")
     # A dropped row or a gap barely moves fs, which comes from the end
@@ -287,13 +325,17 @@ def load_recording(path) -> Recording:
             f"{path}: row {i + 3} is {dt[i]:.9g} s after the previous row, "
             f"more than 1 % away from the sampling interval {step:.9g} s"
         )
-    return Recording(
-        sample_rate_hz=fs,
-        layout=ChannelLayout(names),
-        samples=np.array(data).T,
-        t0=float(tarr[0]),
-        times_s=tarr,
-    )
+    try:
+        return Recording(
+            sample_rate_hz=fs,
+            layout=ChannelLayout(names),
+            # the channels x samples view of a samples x channels array
+            samples=np.ascontiguousarray(table[:, 1:]).T,
+            t0=float(tarr[0]),
+            times_s=tarr,
+        )
+    except InputError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def save_markers(markers: MarkerStream, path) -> None:

@@ -482,7 +482,14 @@ def condition_matrix(report: Report, metric: str = "snr") -> tuple[list[str], np
         raise InputError(f"unknown metric {metric!r}")
     names: list[str] = []
     columns: list[list[float]] = []
+    subjects = [r["subject"] for r in report.tasks[0]["rows"]] if report.tasks else []
     for t in report.tasks:
+        have = [r["subject"] for r in t["rows"]]
+        if not have:
+            raise InputError(f"task {t['task']} has no subject rows")
+        # repeated measures: every condition holds the same subjects, in order
+        if have != subjects:
+            raise InputError(f"task {t['task']} has subjects {have}, expected {subjects}")
         if metric == "fatigue":
             vals = [r["fatigue"] for r in t["rows"]]
             if any(v is None for v in vals):
@@ -491,7 +498,21 @@ def condition_matrix(report: Report, metric: str = "snr") -> tuple[list[str], np
             columns.append([float(v) for v in vals])
             continue
         key = "per_target_snr_db" if metric == "snr" else "per_target_accuracy_pct"
-        for target in sorted(t["rows"][0][key], key=float):
+        targets = t["rows"][0][key]
+        for r in t["rows"]:
+            if r[key].keys() != targets.keys():
+                raise InputError(
+                    f"task {t['task']}, subject {r['subject']}: {key} has targets "
+                    f"{sorted(r[key])}, expected {sorted(targets)}"
+                )
+        try:
+            ordered = sorted(targets, key=float)
+        except ValueError:
+            raise InputError(
+                f"task {t['task']}: {key} has a target that is not a number: "
+                f"{sorted(targets)}"
+            ) from None
+        for target in ordered:
             names.append(f"task{t['task']}:{target}Hz")
             columns.append([float(r[key][target]) for r in t["rows"]])
     return names, np.array(columns).T

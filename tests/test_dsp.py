@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import signal
 
 from veplab import (
     BandpassSpec,
@@ -10,6 +11,7 @@ from veplab import (
     remove_line_noise,
     suppress_artifacts,
 )
+from veplab.dsp import _butter_sos
 from veplab.errors import InputError
 
 FS = 500.0
@@ -75,6 +77,19 @@ def test_bandpass_linearity():
     rhs = a * run(x) + b * run(y)
     scale = np.max(np.abs(rhs))
     assert np.max(np.abs(lhs - rhs)) < 1e-9 * scale
+
+
+def test_bandpass_cached_design_matches_fresh_design():
+    rng = np.random.default_rng(3)
+    ep = TrialEpoch("t", 10.0, rng.normal(size=(3, 2000)), FS, 0.0)
+    for spec in (BandpassSpec(7.0, 15.0), BandpassSpec(6.0, 90.0, order=2)):
+        sos = signal.butter(
+            spec.order, [spec.lo_hz, spec.hi_hz], btype="bandpass", output="sos", fs=FS
+        )
+        expected = signal.sosfiltfilt(sos, ep.samples, axis=1)
+        for _ in range(2):  # a design and a cache hit
+            assert bandpass(ep, spec).samples.tobytes() == expected.tobytes()
+    assert _butter_sos.cache_info().maxsize is not None
 
 
 def test_zapline_removes_pure_line():

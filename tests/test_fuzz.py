@@ -1,20 +1,24 @@
 """Property tests for the file boundaries: every generated file either loads or
 fails with InputError / DegenerateDataError, and `veplab analyze --dataset`
-exits 0, 2 or 3. Any other exception is a defect.
+exits 0, 2 or 3. Any other exception is a defect. Recording CSVs read by
+numpy's reader load exactly as the per-row parser would load them.
 
 Synthesis is never run on a generated config: only its loader is exercised.
 """
 
 import copy
 import json
+import warnings
 from dataclasses import fields
+from unittest import mock
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from veplab import model
 from veplab.cli import _load_synth_config, main
-from veplab.errors import DegenerateDataError, InputError
+from veplab.errors import DegenerateDataError, InputError, ParseError
 from veplab.model import load_markers, load_recording
 from veplab.synth import SynthConfig, SynthProtocol, TaskProtocol, synth_dataset
 
@@ -125,6 +129,60 @@ synth_configs = _objects({
 })
 
 
+# cells float() reads and numpy's reader does not, or that neither reads as a
+# finite number, and characters either may strip around a number
+odd_cells = st.sampled_from(
+    ["1_0", "\uff11", "\u0661", "nan", "1e999", "-inf", "", "x", "0x10", "1e", "+.5", "-0"]
+)
+spaces = st.sampled_from([" ", "\t", "\x0b", "\x0c", "\xa0", "\x1c", "\x1f", "\x85", "\u3000"])
+
+
+@st.composite
+def recording_tables(draw):
+    """A valid recording CSV at 500 Hz, often mutated in a way that either
+    parser may treat differently."""
+    n_ch = draw(st.integers(1, 3))
+    rows = [
+        [repr(i / 500.0)] + [repr(v) for v in draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=n_ch, max_size=n_ch
+        ))]
+        for i in range(draw(st.integers(0, 6)))
+    ]
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["blank", "space line", "cell", "pad", "ragged"]))
+        at = draw(st.integers(0, len(lines)))
+        if kind == "blank":
+            lines.insert(at, "")
+        elif kind == "space line":
+            lines.insert(at, draw(spaces))
+        elif rows:
+            row = rows[at % len(rows)]
+            col = draw(st.integers(0, len(row) - 1))
+            if kind == "cell":
+                row[col] = draw(odd_cells)
+            elif kind == "pad":
+                row[col] = draw(spaces) + row[col] + draw(spaces)
+            elif draw(st.booleans()):
+                row.pop()
+            else:
+                row.append("1.0")
+            lines = [",".join(r) for r in rows]
+    header = "time_s," + ",".join(f"c{k}" for k in range(n_ch))
+    end = draw(st.sampled_from(["\n", "", "\r\n"]))
+    return end.join([header, *lines]) + end
+
+
+def _load(path):
+    """(recording, None) or (None, ParseError message); warnings are errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return load_recording(path), None
+        except ParseError as exc:
+            return None, str(exc)
+
+
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -151,6 +209,29 @@ def test_load_recording_fails_only_with_input_error(work, content):
         load_recording(path)
     except EXPECTED:
         pass
+
+
+@FUZZ
+@given(text=recording_tables())
+# where the two parsers differ: numpy's reader strips U+001C..U+001F and warns
+# on an empty body, float() reads 1_0 and other scripts' digits
+@example(text="time_s,a\n0.0,\x1c1.0\n0.002,1.0\n")
+@example(text="time_s,a\n\n\n")
+@example(text="time_s,a\n0.0,1_0\n0.002,\uff11\n")
+@example(text="time_s,a\n0.0,1.0\n0.002,nan\n")
+@example(text="time_s,a\n0.0,1.0\n \n0.002,1.0\n")
+def test_load_recording_matches_per_row_parser(work, text):
+    path = work / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    rec, error = _load(path)
+    with mock.patch.object(model, "_parse_table", model._parse_rows):
+        ref, ref_error = _load(path)
+    event("loaded" if rec is not None else "ParseError")
+    assert error == ref_error
+    if rec is not None:
+        assert rec.samples.tobytes() == ref.samples.tobytes()
+        assert rec.times_s.tobytes() == ref.times_s.tobytes()
+        assert rec.sample_rate_hz == ref.sample_rate_hz
 
 
 @FUZZ

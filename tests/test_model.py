@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,9 @@ def test_recording_invariants():
         Recording(500.0, layout, np.zeros((3, 4)))
     with pytest.raises(InputError):
         Recording(500.0, layout, np.array([[1.0, np.nan], [0.0, 0.0]]))
+    for fs in (np.inf, np.nan):
+        with pytest.raises(InputError, match="sample_rate_hz"):
+            Recording(fs, layout, np.zeros((2, 4)))
 
 
 def test_load_small_csv(tmp_path):
@@ -81,6 +86,16 @@ def test_load_rejects_irregular_sampling(tmp_path):
         load_recording(p)
 
 
+def test_load_rejects_infinite_sample_rate(tmp_path):
+    # 1 / 1e-320 overflows to inf
+    p = tmp_path / "rec.csv"
+    p.write_text("time_s,a\n0.0,1.0\n1e-320,2.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match=f"{p}: sample_rate_hz must be finite"):
+            load_recording(p)
+
+
 def test_load_rejects_bad_header(tmp_path):
     p = tmp_path / "rec.csv"
     p.write_text("t,a\n0.0,1.0\n")
@@ -101,6 +116,25 @@ def test_roundtrip_bit_exact(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
         np.testing.assert_array_equal(loaded.samples, rec.samples)
         assert loaded.sample_rate_hz == rec.sample_rate_hz
+
+
+def test_save_matches_per_cell_repr(tmp_path):
+    # lengths either side of the writer's 4096-row blocks
+    special = np.array([-0.0, 5e-324, 1.7e308, 3.0, -12.0, 0.1, 1e16])
+    rng = np.random.default_rng(7)
+    for n in (1, 4095, 4096, 4097):
+        samples = rng.normal(size=(2, n)) * 10
+        samples.flat[: min(samples.size, special.size)] = special[: samples.size]
+        times = np.arange(n) / 500.0
+        times[0] = -0.0
+        rec = Recording(500.0, ChannelLayout(("Pz", "Oz")), samples, times_s=times)
+        expected = "time_s,Pz,Oz\n" + "".join(
+            ",".join(repr(float(v)) for v in (times[j], *samples[:, j])) + "\n"
+            for j in range(n)
+        )
+        p = tmp_path / f"rec{n}.csv"
+        save_recording(rec, p)
+        assert p.read_bytes() == expected.encode("utf-8"), n
 
 
 def test_markers_roundtrip_and_vocabulary(tmp_path):

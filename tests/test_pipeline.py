@@ -162,6 +162,33 @@ def test_stats_report_from_report(tiny_dataset):
     for entry in post["posthoc"]:
         assert entry["p_holm"] >= 0.0 and entry["df"] == 2
 
+    # reports merged from hand-edited files: every task must hold the same
+    # subjects, every subject the same numeric targets
+    def edited(edit):
+        tasks = json.loads(report.to_json())["tasks"]
+        edit(tasks)
+        return Report(tasks=tasks)
+
+    def renamed(tasks):
+        tasks[1]["rows"][0]["subject"] = "other"
+
+    def retargeted(tasks):
+        del tasks[0]["rows"][1]["per_target_snr_db"]["8.0"]
+
+    def misnamed(tasks):
+        for r in tasks[0]["rows"]:
+            r["per_target_snr_db"]["8 Hz"] = r["per_target_snr_db"].pop("8.0")
+
+    for edit, message in [
+        (lambda tasks: tasks[1]["rows"].pop(), "task 2 has subjects"),
+        (lambda tasks: tasks[0]["rows"].clear(), "task 1 has no subject rows"),
+        (renamed, "task 2 has subjects"),
+        (retargeted, "task 1, subject S2: per_target_snr_db has targets"),
+        (misnamed, "not a number"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            stats_report(edited(edit), test="rm-anova", metric="snr")
+
 
 def test_cli_stimgen_and_synth_and_analyze(tmp_path):
     sched = tmp_path / "sched.json"
@@ -244,6 +271,11 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     bogus_protocol.write_text(
         json.dumps({"protocol": {"tasks": [], "baseline_s": 99, "bogus": 1}})
     )
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    row = {"subject": "S3", "snr_db": 1.0, "accuracy_pct": 90.0, "fatigue": None,
+           "per_target_snr_db": {"8.0": None}, "per_target_accuracy_pct": {"8.0": 90.0}}
+    (reports / "r.json").write_text(json.dumps({"tasks": [{"task": 2, "rows": [row]}]}))
     out = str(tmp_path / "z.json")
     cases = [
         (["analyze", "--recording", str(rec), "--markers", str(dots), "--task", "2",
@@ -260,6 +292,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
          [str(bad_seed), "seed"]),
         (["synth", "--config", str(bogus_protocol), "--out", str(tmp_path / "ds")],
          [str(bogus_protocol), "protocol", "'bogus'"]),
+        (["stats", "--reports", str(reports), "--test", "rm-anova"],
+         [str(reports / "r.json"), "task 2", "subject S3", "per_target_snr_db"]),
     ]
     capsys.readouterr()
     for argv, named in cases:
