@@ -79,6 +79,11 @@ def json_value(obj: dict, key: str, kind, where: str, item=None, required=True):
     return value
 
 
+def _check_sample_rate(fs: float) -> None:
+    if not 0 < fs < math.inf:
+        raise InputError(f"sample_rate_hz must be finite and > 0, got {fs}")
+
+
 @dataclass(frozen=True)
 class ChannelLayout:
     """Ordered channel labels plus provenance of derived (virtual) channels."""
@@ -121,10 +126,7 @@ class Recording:
                 f"samples have {samples.shape[0]} rows but layout has "
                 f"{len(self.layout)} channels"
             )
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise InputError(
-                f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}"
-            )
+        _check_sample_rate(self.sample_rate_hz)
         if not np.all(np.isfinite(samples)):
             raise InputError("recording samples must be finite")
         object.__setattr__(self, "samples", _readonly(samples))
@@ -132,6 +134,13 @@ class Recording:
             times = np.asarray(self.times_s, dtype=np.float64)
             if times.shape != (samples.shape[1],):
                 raise InputError("times_s length must match sample count")
+            if not np.all(np.isfinite(times)):
+                raise InputError("times_s must be finite")
+            late = np.diff(times) <= 0
+            if np.any(late):
+                i = int(np.argmax(late)) + 1
+                raise InputError(f"times_s must increase, but sample {i} is not "
+                                 f"after sample {i - 1}")
             object.__setattr__(self, "times_s", _readonly(times))
 
     @property
@@ -193,8 +202,7 @@ class TrialEpoch:
     def __post_init__(self):
         if self.target_freq_hz <= 0:
             raise InputError(f"target_freq_hz must be > 0, got {self.target_freq_hz}")
-        if self.sample_rate_hz <= 0:
-            raise InputError("sample_rate_hz must be > 0")
+        _check_sample_rate(self.sample_rate_hz)
         samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
         object.__setattr__(self, "samples", _readonly(samples))
 

@@ -12,6 +12,7 @@ non-integer frames-per-cycle.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -226,18 +227,14 @@ def build_frame_schedule(spec: StimulusSpec) -> FrameSchedule:
     return FrameSchedule(refresh_rate_hz=fr, paradigm=spec.paradigm, values=values)
 
 
-def render_checkerboard(geom: CheckerGeometry, phase: float) -> LuminanceImage:
-    """Radial checkerboard at the given radial phase.
-
-    value(r, theta) = sign(sin(2*pi*radial_cycles*r/outer_radius + phase)
-                           * sin(angular_cycles*theta));
-    the fixation disk is white (+1) and everything beyond the outer radius
-    is mean gray (0).
+@functools.lru_cache(maxsize=4)
+def _checker_grid(geom: CheckerGeometry):
+    """The phase-independent parts of a checkerboard, built once per geometry:
+    the radial argument 2*pi*k*r/R, sin(angular_cycles*theta), and the masks
+    of pixels beyond the outer radius and inside the fixation disk (read-only).
     """
-    if geom.outer_radius_px <= 0:
-        raise InputError("outer_radius_px must be > 0")
-    if not -1e-12 <= phase <= np.pi + 1e-12:
-        raise InputError(f"phase must be in [0, pi], got {phase}")
+    # A default 513 x 513 grid holds about 4.7 MB; a stimulus run uses one
+    # or two geometries, so a few entries bound the memory.
     size = 2 * geom.outer_radius_px + 1
     c = geom.outer_radius_px
     y, x = np.mgrid[0:size, 0:size].astype(np.float64)
@@ -245,12 +242,30 @@ def render_checkerboard(geom: CheckerGeometry, phase: float) -> LuminanceImage:
     y -= c
     r = np.hypot(x, y)
     theta = np.arctan2(y, x)
-    vals = np.sign(
-        np.sin(2 * np.pi * geom.radial_cycles * r / geom.outer_radius_px + phase)
-        * np.sin(geom.angular_cycles * theta)
-    )
-    vals[r > geom.outer_radius_px] = 0.0
-    vals[r < geom.fixation_radius_px] = 1.0
+    radial = 2 * np.pi * geom.radial_cycles * r / geom.outer_radius_px
+    angular = np.sin(geom.angular_cycles * theta)
+    outside = r > geom.outer_radius_px
+    fixation = r < geom.fixation_radius_px
+    for a in (radial, angular, outside, fixation):
+        a.setflags(write=False)
+    return radial, angular, outside, fixation
+
+
+def render_checkerboard(geom: CheckerGeometry, phase: float) -> LuminanceImage:
+    """Radial checkerboard at the given radial phase.
+
+    value(r, theta) = sign(sin(2*pi*radial_cycles*r/outer_radius + phase)
+                           * sin(angular_cycles*theta));
+    the fixation disk is white (+1) and everything beyond the outer radius
+    is mean gray (0). Only sin(2*pi*k*r/R + phase) is evaluated per frame;
+    the rest is built once per CheckerGeometry.
+    """
+    if not -1e-12 <= phase <= np.pi + 1e-12:
+        raise InputError(f"phase must be in [0, pi], got {phase}")
+    radial, angular, outside, fixation = _checker_grid(geom)
+    vals = np.sign(np.sin(radial + phase) * angular)
+    vals[outside] = 0.0
+    vals[fixation] = 1.0
     return LuminanceImage(vals)
 
 

@@ -7,6 +7,7 @@ from veplab import (
     ChannelLayout,
     MarkerStream,
     Recording,
+    TrialEpoch,
     derive_virtual_channel,
     extract_epochs,
     load_markers,
@@ -45,6 +46,24 @@ def test_recording_invariants():
     for fs in (np.inf, np.nan):
         with pytest.raises(InputError, match="sample_rate_hz"):
             Recording(fs, layout, np.zeros((2, 4)))
+
+
+def test_recording_rejects_bad_times():
+    # such a recording used to save without complaint and then fail to load
+    layout = ChannelLayout(("a",))
+    with pytest.raises(InputError, match="times_s must be finite"):
+        Recording(500.0, layout, np.zeros((1, 3)), times_s=[np.nan, 0.002, 0.004])
+    with pytest.raises(InputError, match="times_s must be finite"):
+        Recording(500.0, layout, np.zeros((1, 3)), times_s=[0.0, np.inf, 0.004])
+    for times in ([0.0, 0.004, 0.002], [0.0, 0.002, 0.002]):
+        with pytest.raises(InputError, match="sample 2 is not after sample 1"):
+            Recording(500.0, layout, np.zeros((1, 3)), times_s=times)
+
+
+def test_trial_epoch_rejects_non_finite_rate():
+    for fs in (np.nan, np.inf, 0.0):
+        with pytest.raises(InputError, match="sample_rate_hz must be finite and > 0"):
+            TrialEpoch("x", 8.0, np.zeros((1, 4)), fs, 0.0)
 
 
 def test_load_small_csv(tmp_path):

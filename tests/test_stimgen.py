@@ -227,3 +227,73 @@ def test_write_frame_stack(tmp_path):
     files = sorted((tmp_path / "frames").iterdir())
     assert len(files) == 7
     assert files[0].name == "frame_00000.pgm"
+
+
+def test_checkerboard_cached_geometry_matches_fresh():
+    from veplab import stimgen
+
+    def fresh(geom, phase):
+        # the per-call formula, with the whole grid rebuilt for every frame
+        size = 2 * geom.outer_radius_px + 1
+        c = geom.outer_radius_px
+        y, x = np.mgrid[0:size, 0:size].astype(np.float64)
+        x -= c
+        y -= c
+        r = np.hypot(x, y)
+        theta = np.arctan2(y, x)
+        vals = np.sign(
+            np.sin(2 * np.pi * geom.radial_cycles * r / geom.outer_radius_px + phase)
+            * np.sin(geom.angular_cycles * theta)
+        )
+        vals[r > geom.outer_radius_px] = 0.0
+        vals[r < geom.fixation_radius_px] = 1.0
+        return vals
+
+    geoms = (
+        CheckerGeometry(),  # 513 x 513
+        CheckerGeometry(radial_cycles=3, angular_cycles=8, outer_radius_px=40,
+                        fixation_radius_px=0),
+        CheckerGeometry(radial_cycles=4, angular_cycles=7, outer_radius_px=40,
+                        fixation_radius_px=6),
+    )
+    sch = build_frame_schedule(StimulusSpec("radial_motion", 8.0, 144.0, 0.5))
+    phases = [0.0, np.pi, *sch.values.tolist()]
+    # geometries interleaved per phase, so a cache keyed on anything but the
+    # whole geometry serves one geometry's grid to another
+    for phase in phases:
+        for geom in geoms:
+            got = render_checkerboard(geom, phase).values
+            assert np.array_equal(got, fresh(geom, phase)), (geom, phase)
+    assert stimgen._checker_grid.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("paradigm,freq", [
+    ("pattern_reversal", 8.0), ("radial_motion", 8.0), ("gabor_pulse", 72.0),
+])
+def test_write_frame_stack_renders_and_writes_each_frame_once(
+    tmp_path, monkeypatch, paradigm, freq
+):
+    from veplab import stimgen
+
+    if paradigm == "gabor_pulse":
+        geom = GaborParams(size_px=16)
+    else:
+        geom = CheckerGeometry(outer_radius_px=12, fixation_radius_px=2)
+    spec = StimulusSpec(paradigm, freq, 144.0, 0.1, geometry=geom)
+    sch = build_frame_schedule(spec)
+    rendered, written = [], []
+    render, write = stimgen.render_frame, stimgen.write_pgm
+
+    def counting_render(spec, state):
+        rendered.append(state)
+        return render(spec, state)
+
+    def counting_write(image, path):
+        written.append(path)
+        return write(image, path)
+
+    monkeypatch.setattr(stimgen, "render_frame", counting_render)
+    monkeypatch.setattr(stimgen, "write_pgm", counting_write)
+    assert stimgen.write_frame_stack(spec, sch, tmp_path / "frames") == sch.n_frames
+    assert rendered == sch.values.tolist()
+    assert len(written) == len(set(written)) == sch.n_frames
