@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -153,7 +154,8 @@ class LuminanceImage:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2:
             raise InputError("image values must be 2-D")
-        if v.size and (v.min() < -1.0 - 1e-12 or v.max() > 1.0 + 1e-12):
+        # written so that a NaN, which min() and max() propagate, fails it
+        if v.size and not (v.min() >= -1.0 - 1e-12 and v.max() <= 1.0 + 1e-12):
             raise InputError("luminance values must lie in [-1, 1]")
         object.__setattr__(self, "values", v)
 
@@ -181,12 +183,16 @@ def validate_spec(spec: StimulusSpec) -> None:
     """Reject physically impossible specs; warn on non-integer frames-per-cycle."""
     if spec.paradigm not in PARADIGMS:
         raise InputError(f"unknown paradigm {spec.paradigm!r}; expected {PARADIGMS}")
-    if spec.refresh_rate_hz <= 0:
-        raise InputError("refresh_rate_hz must be > 0")
-    if spec.duration_s <= 0:
-        raise InputError(f"duration_s must be > 0, got {spec.duration_s}")
-    if spec.stim_freq_hz <= 0:
-        raise InputError(f"stim_freq_hz must be > 0, got {spec.stim_freq_hz}")
+    for name in ("refresh_rate_hz", "duration_s", "stim_freq_hz"):
+        value = getattr(spec, name)
+        if not (math.isfinite(value) and value > 0):
+            raise InputError(f"{name} must be finite and > 0, got {value}")
+    n_frames = spec.duration_s * spec.refresh_rate_hz
+    if not (math.isfinite(n_frames) and round(n_frames) >= 1):
+        raise InputError(
+            f"duration_s {spec.duration_s} at {spec.refresh_rate_hz} Hz gives "
+            f"{n_frames} frames; need at least 1"
+        )
     if spec.stim_freq_hz > spec.refresh_rate_hz / 2:
         raise InputError(
             f"stim_freq_hz {spec.stim_freq_hz} exceeds Nyquist for "
@@ -229,26 +235,41 @@ def build_frame_schedule(spec: StimulusSpec) -> FrameSchedule:
 
 @functools.lru_cache(maxsize=4)
 def _checker_grid(geom: CheckerGeometry):
-    """The phase-independent parts of a checkerboard, built once per geometry:
-    the radial argument 2*pi*k*r/R, sin(angular_cycles*theta), and the masks
-    of pixels beyond the outer radius and inside the fixation disk (read-only).
+    """The phase-independent parts of a checkerboard, built once per geometry.
+
+    Returns (distinct, index), both read-only. distinct holds the sorted
+    distinct values of the radial argument 2*pi*k*r/R over the grid. index
+    holds, per pixel, a position in the table [ring, -ring, 0.0, 1.0] with
+    ring = sign(sin(distinct + phase)): i or i + n for a pixel with radial
+    value distinct[i] where sin(angular_cycles*theta) is > 0 or < 0, 2n
+    where that sine is 0 or the pixel lies beyond the outer radius, and
+    2n + 1 inside the fixation disk (applied last, so fixation wins).
     """
-    # A default 513 x 513 grid holds about 4.7 MB; a stimulus run uses one
+    # A default 513 x 513 grid holds about 2.3 MB; a stimulus run uses one
     # or two geometries, so a few entries bound the memory.
     size = 2 * geom.outer_radius_px + 1
-    c = geom.outer_radius_px
-    y, x = np.mgrid[0:size, 0:size].astype(np.float64)
-    x -= c
-    y -= c
-    r = np.hypot(x, y)
-    theta = np.arctan2(y, x)
+    offsets = np.arange(size, dtype=np.float64) - geom.outer_radius_px
+    # r depends only on |x| and |y| (hypot(-x, y) == hypot(x, y) exactly), so
+    # the radial parts are built on one quadrant and gathered onto the grid
+    quadrant = offsets[geom.outer_radius_px :]
+    r = np.hypot(quadrant[None, :], quadrant[:, None])
     radial = 2 * np.pi * geom.radial_cycles * r / geom.outer_radius_px
-    angular = np.sin(geom.angular_cycles * theta)
-    outside = r > geom.outer_radius_px
-    fixation = r < geom.fixation_radius_px
-    for a in (radial, angular, outside, fixation):
+    distinct, folded = np.unique(radial, return_inverse=True)
+    n = len(distinct)
+    fold = np.abs(offsets).astype(np.intp)
+    rows, cols = fold[:, None], fold[None, :]
+    index = folded.reshape(r.shape)[rows, cols]
+    angular = np.arctan2(offsets[:, None], offsets[None, :])
+    angular *= geom.angular_cycles
+    np.sin(angular, out=angular)
+    index[angular < 0] += n
+    index[angular == 0] = 2 * n
+    del angular
+    index[(r > geom.outer_radius_px)[rows, cols]] = 2 * n
+    index[(r < geom.fixation_radius_px)[rows, cols]] = 2 * n + 1
+    for a in (distinct, index):
         a.setflags(write=False)
-    return radial, angular, outside, fixation
+    return distinct, index
 
 
 def render_checkerboard(geom: CheckerGeometry, phase: float) -> LuminanceImage:
@@ -257,22 +278,23 @@ def render_checkerboard(geom: CheckerGeometry, phase: float) -> LuminanceImage:
     value(r, theta) = sign(sin(2*pi*radial_cycles*r/outer_radius + phase)
                            * sin(angular_cycles*theta));
     the fixation disk is white (+1) and everything beyond the outer radius
-    is mean gray (0). Only sin(2*pi*k*r/R + phase) is evaluated per frame;
-    the rest is built once per CheckerGeometry.
+    is mean gray (0). Per frame, sin(2*pi*k*r/R + phase) is evaluated once
+    per distinct pixel radius and gathered onto the grid through the index
+    _checker_grid builds once per CheckerGeometry. The values equal the
+    formula's, since sign(a*b) = sign(a)*sign(b) for these sines, whose
+    products are never subnormal.
     """
     if not -1e-12 <= phase <= np.pi + 1e-12:
         raise InputError(f"phase must be in [0, pi], got {phase}")
-    radial, angular, outside, fixation = _checker_grid(geom)
-    vals = np.sign(np.sin(radial + phase) * angular)
-    vals[outside] = 0.0
-    vals[fixation] = 1.0
-    return LuminanceImage(vals)
+    distinct, index = _checker_grid(geom)
+    ring = np.sign(np.sin(distinct + phase))
+    return LuminanceImage(np.concatenate([ring, -ring, [0.0, 1.0]])[index])
 
 
 def render_gabor(params: GaborParams, mask_scale: float = 1.0) -> LuminanceImage:
     """Gabor patch with the Gaussian mask width scaled by mask_scale."""
-    if mask_scale <= 0:
-        raise InputError(f"mask_scale must be > 0, got {mask_scale}")
+    if not (math.isfinite(mask_scale) and mask_scale > 0):
+        raise InputError(f"mask_scale must be finite and > 0, got {mask_scale}")
     size = params.size_px
     coords = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     x = coords[None, :]
@@ -298,13 +320,31 @@ def render_frame(spec: StimulusSpec, state) -> LuminanceImage:
     return render_gabor(geometry, float(state))
 
 
+# rows encoded at a time by write_pgm: a 513-pixel float64 block is 128 kB
+_PGM_BLOCK_ROWS = 32
+
+
 def write_pgm(image: LuminanceImage, path) -> None:
-    """Write a binary PGM (P5), mapping [-1, 1] to [0, 255]."""
-    v = np.clip((image.values + 1.0) * (255.0 / 2.0), 0, 255)
-    data = np.round(v).astype(np.uint8)
+    """Write a binary PGM (P5), mapping [-1, 1] to [0, 255].
+
+    Each pixel becomes rint(clip((v + 1) * 255/2, 0, 255)) as uint8. The
+    encoding runs in place over blocks of rows into one preallocated uint8
+    frame, so no frame-sized float64 temporary is made.
+    """
+    values = image.values
+    data = np.empty(values.shape, dtype=np.uint8)
+    block = np.empty((min(_PGM_BLOCK_ROWS, image.height), image.width))
+    for start in range(0, image.height, _PGM_BLOCK_ROWS):
+        rows = values[start : start + _PGM_BLOCK_ROWS]
+        v = block[: len(rows)]
+        np.add(rows, 1.0, out=v)
+        v *= 255.0 / 2.0
+        np.clip(v, 0, 255, out=v)
+        np.rint(v, out=v)
+        data[start : start + len(rows)] = v
     with open(path, "wb") as fh:
         fh.write(f"P5\n{image.width} {image.height}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+        fh.write(data)
 
 
 def write_frame_stack(spec: StimulusSpec, schedule: FrameSchedule, out_dir) -> int:

@@ -295,6 +295,16 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         (["stats", "--reports", str(reports), "--test", "rm-anova"],
          [str(reports / "r.json"), "task 2", "subject S3", "per_target_snr_db"]),
     ]
+    # non-finite stimulus numbers, and a duration too short for one frame
+    schedule = str(tmp_path / "s.json")
+    for flag, field, values in (
+        ("--freq", "stim_freq_hz", ("nan", "inf")),
+        ("--refresh", "refresh_rate_hz", ("nan", "inf")),
+        ("--duration", "duration_s", ("nan", "inf", "1e-9")),
+    ):
+        argv = ["stimgen", "--paradigm", "radial", "--freq", "8", "--out", schedule]
+        for value in values:
+            cases.append(([*argv, flag, value], [field]))
     capsys.readouterr()
     for argv, named in cases:
         assert main(argv) == 2, argv

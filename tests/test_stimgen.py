@@ -255,9 +255,12 @@ def test_checkerboard_cached_geometry_matches_fresh():
                         fixation_radius_px=0),
         CheckerGeometry(radial_cycles=4, angular_cycles=7, outer_radius_px=40,
                         fixation_radius_px=6),
+        # fixation disk larger than the board: fixation wins over "outside"
+        CheckerGeometry(radial_cycles=2, angular_cycles=5, outer_radius_px=10,
+                        fixation_radius_px=14),
     )
     sch = build_frame_schedule(StimulusSpec("radial_motion", 8.0, 144.0, 0.5))
-    phases = [0.0, np.pi, *sch.values.tolist()]
+    phases = [0.0, np.pi, *sch.values.tolist(), *np.linspace(0.0, np.pi, 200).tolist()]
     # geometries interleaved per phase, so a cache keyed on anything but the
     # whole geometry serves one geometry's grid to another
     for phase in phases:
@@ -297,3 +300,59 @@ def test_write_frame_stack_renders_and_writes_each_frame_once(
     assert stimgen.write_frame_stack(spec, sch, tmp_path / "frames") == sch.n_frames
     assert rendered == sch.values.tolist()
     assert len(written) == len(set(written)) == sch.n_frames
+
+
+def test_luminance_rejects_nan():
+    from veplab.stimgen import LuminanceImage, render_frame
+
+    for bad in (np.full((2, 2), np.nan), np.array([[0.5, np.nan], [-1.0, 1.0]])):
+        with pytest.raises(InputError, match=r"\[-1, 1\]"):
+            LuminanceImage(bad)
+    for scale in (np.nan, np.inf):
+        with pytest.raises(InputError, match="mask_scale"):
+            render_gabor(GaborParams(), scale)
+    params = GaborParams(size_px=16, contrast=0.5, pulse_mode="amplitude")
+    spec = StimulusSpec("gabor_pulse", 72.0, 144.0, 0.1, geometry=params)
+    with pytest.raises(InputError):
+        render_frame(spec, np.nan)
+
+
+@pytest.mark.parametrize("height", [1, 31, 32, 33, 513])
+def test_write_pgm_matches_reference_encoding(tmp_path, height):
+    from veplab.stimgen import LuminanceImage
+
+    width = 513 if height == 513 else 7
+    rng = np.random.default_rng(height)
+    values = rng.uniform(-1.0, 1.0, size=(height, width))
+    edges = [1.0, -1.0, 0.0, -0.0, 1.0 + 1e-12, -1.0 - 1e-12]
+    flat = values.reshape(-1)
+    # the edge values at the start and at the end, so both the first and the
+    # last row block carry them
+    flat[: len(edges)] = edges
+    flat[-len(edges):] = edges
+    path = tmp_path / "f.pgm"
+    write_pgm(LuminanceImage(values), path)
+    ref = np.round(np.clip((values + 1.0) * 127.5, 0, 255)).astype(np.uint8)
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
+    assert path.read_bytes() == header + ref.tobytes()
+
+
+def test_default_frame_allocations_stay_small(tmp_path):
+    # a frame-sized float64 temporary freed each frame lets the allocator
+    # return memory to the system and fault it back in on the next frame
+    import tracemalloc
+
+    geom = CheckerGeometry()
+    image = render_checkerboard(geom, 1.0)  # builds the cached grid
+    frame_bytes = image.values.nbytes
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: write_pgm(image, tmp_path / "f.pgm")) < 1_000_000
+    assert peak(lambda: render_checkerboard(geom, 1.0)) < 1.5 * frame_bytes
