@@ -113,8 +113,14 @@ def _load_synth_config(path) -> tuple[SynthConfig, SynthProtocol | None]:
             paradigm=str, targets_hz=list, trials_per_target=int,
         )
         task["targets_hz"] = tuple(float(f) for f in task["targets_hz"])
-        tasks.append(TaskProtocol(**task))
-    return cfg, SynthProtocol(**dict(proto, tasks=tuple(tasks)))
+        try:
+            tasks.append(TaskProtocol(**task))
+        except InputError as exc:
+            raise InputError(f"{path}: protocol task {k}: {exc}") from None
+    try:
+        return cfg, SynthProtocol(**dict(proto, tasks=tuple(tasks)))
+    except InputError as exc:
+        raise InputError(f"{path}: protocol: {exc}") from None
 
 
 def _cmd_synth(args) -> int:

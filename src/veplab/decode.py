@@ -8,6 +8,9 @@ drops null directions, so a rank-deficient epoch (a virtual channel that is
 the mean of two recorded ones) needs no regularisation. Filter-bank decisions
 combine per-band correlations as sum_m w(m) * rho_m^2 with w(m) = m**-a + b
 and pick the argmax target (ties break toward the lowest index).
+
+cca_corr imports scipy.linalg on its first call, not at module import, so
+stimulus generation and synthesis never load scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import orth, svdvals
 
 from .dsp import BandpassSpec, bandpass
 from .errors import DegenerateDataError, InputError
@@ -125,6 +127,8 @@ def cca_corr(X: np.ndarray, Y: np.ndarray) -> float:
     for name, m in (("X", Xc), ("Y", Yc)):
         if np.any(np.sum(m**2, axis=1) == 0.0):
             raise DegenerateDataError(f"{name} has a zero-variance row")
+    from scipy.linalg import orth, svdvals
+
     rho = float(svdvals(orth(Xc.T).T @ orth(Yc.T))[0])
     return min(rho, 1.0)
 

@@ -5,6 +5,9 @@ Line noise is removed by least-squares fitting a sinusoid at the mains
 frequency in overlapping 1 s windows (raised-cosine overlap-add), and
 artifacts by windowed principal-subspace cleaning calibrated on the quietest
 10 s stretch of the recording.
+
+scipy is imported inside the functions that call it, so importing this module
+(and veplab) loads numpy only; the first filter or artifact pass loads scipy.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
-from scipy.linalg import eigh
 
 from .errors import InputError
 from .model import Recording, TrialEpoch
@@ -40,11 +41,15 @@ def _butter_sos(order: int, lo_hz: float, hi_hz: float, fs_hz: float) -> np.ndar
     # One design per distinct band; a pipeline run uses about a dozen. The
     # array is shared by every caller and stays writable because sosfiltfilt
     # rejects a read-only one, so it must not leave this module.
+    from scipy import signal
+
     return signal.butter(order, [lo_hz, hi_hz], btype="bandpass", output="sos", fs=fs_hz)
 
 
 def bandpass(epoch: TrialEpoch, spec: BandpassSpec) -> TrialEpoch:
     """Forward-backward Butterworth band-pass, per channel, length preserved."""
+    from scipy import signal
+
     spec.validate(epoch.sample_rate_hz)
     sos = _butter_sos(spec.order, spec.lo_hz, spec.hi_hz, epoch.sample_rate_hz)
     filtered = signal.sosfiltfilt(sos, epoch.samples, axis=1)
@@ -140,6 +145,8 @@ def suppress_artifacts(
     global_scale = float(np.mean(x**2))
     if np.trace(cov) <= 1e-15 * max(global_scale, 1e-30):
         return rec
+    from scipy.linalg import eigh
+
     lam, vecs = eigh(cov)
     lam = np.maximum(lam, 1e-12 * np.trace(cov))
 

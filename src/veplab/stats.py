@@ -1,8 +1,9 @@
 """One-way repeated-measures ANOVA with partial eta squared, Holm-adjusted
 post-hoc paired t-tests, Cohen's d, and fatigue questionnaire scoring.
 
-p-values come from the regularized incomplete beta `scipy.special.betainc`;
-tabulated F and t values in the tests are the oracle for it.
+p-values come from the regularized incomplete beta `scipy.special.betainc`,
+imported on the first p-value rather than at module import; tabulated F and
+t values in the tests are the oracle for it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import DegenerateDataError, InputError
 
@@ -47,11 +47,15 @@ def f_sf(F: float, df1: int, df2: int) -> float:
     """Upper tail P(F' >= F) for the F distribution."""
     if F < 0:
         return 1.0
+    from scipy.special import betainc
+
     return float(betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * F)))
 
 
 def t_sf_two_sided(t: float, df: int) -> float:
     """Two-sided p for a t statistic."""
+    from scipy.special import betainc
+
     return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
 
 

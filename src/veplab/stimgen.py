@@ -27,6 +27,9 @@ RADIAL_MOTION = "radial_motion"
 GABOR_PULSE = "gabor_pulse"
 PARADIGMS = (PATTERN_REVERSAL, RADIAL_MOTION, GABOR_PULSE)
 
+# 24 h of frames at 144 Hz; a schedule this long holds about 100 MB of states
+MAX_FRAMES = 24 * 3600 * 144
+
 
 class NonIntegerCycleWarning(UserWarning):
     """Stimulus frequency does not divide the refresh rate evenly."""
@@ -180,7 +183,11 @@ def radial_phase(t, f_c: float):
 
 
 def validate_spec(spec: StimulusSpec) -> None:
-    """Reject physically impossible specs; warn on non-integer frames-per-cycle."""
+    """Reject physically impossible specs; warn on non-integer frames-per-cycle.
+
+    A spec must give between 1 and MAX_FRAMES frames (12,441,600: 24 h at
+    144 Hz), so a schedule is never too large to allocate.
+    """
     if spec.paradigm not in PARADIGMS:
         raise InputError(f"unknown paradigm {spec.paradigm!r}; expected {PARADIGMS}")
     for name in ("refresh_rate_hz", "duration_s", "stim_freq_hz"):
@@ -192,6 +199,11 @@ def validate_spec(spec: StimulusSpec) -> None:
         raise InputError(
             f"duration_s {spec.duration_s} at {spec.refresh_rate_hz} Hz gives "
             f"{n_frames} frames; need at least 1"
+        )
+    if round(n_frames) > MAX_FRAMES:
+        raise InputError(
+            f"duration_s {spec.duration_s} at refresh_rate_hz {spec.refresh_rate_hz} "
+            f"Hz gives {n_frames:g} frames; at most {MAX_FRAMES} (24 h at 144 Hz)"
         )
     if spec.stim_freq_hz > spec.refresh_rate_hz / 2:
         raise InputError(

@@ -7,6 +7,7 @@ be regenerated bit-identically and trials can be generated in any order.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -24,7 +25,7 @@ from .model import (
     save_markers,
     save_recording,
 )
-from .stimgen import GABOR_PULSE, PATTERN_REVERSAL, RADIAL_MOTION
+from .stimgen import GABOR_PULSE, PARADIGMS, PATTERN_REVERSAL, RADIAL_MOTION
 
 DEFAULT_GAINS = {"Pz": 0.9, "Oz": 1.0, "O1": 0.85, "O2": 0.8}
 
@@ -71,6 +72,16 @@ class SynthConfig:
         return tuple(self.channel_gains)
 
 
+def _check_finite_fields(obj, positive=(), non_negative=()) -> None:
+    """Each named field of obj must be finite and > 0 (positive) or >= 0."""
+    for name in (*positive, *non_negative):
+        value = getattr(obj, name)
+        strict = name in positive
+        if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
+            op = ">" if strict else ">="
+            raise InputError(f"{name} must be finite and {op} 0, got {value}")
+
+
 @dataclass(frozen=True)
 class TaskProtocol:
     paradigm: str
@@ -78,6 +89,21 @@ class TaskProtocol:
     trials_per_target: int
     trial_s: float = 5.0
     rest_s: float = 5.0
+
+    def __post_init__(self):
+        if self.paradigm not in PARADIGMS:
+            raise InputError(f"paradigm must be one of {PARADIGMS}, got {self.paradigm!r}")
+        if not self.targets_hz or not all(
+            math.isfinite(f) and f > 0 for f in self.targets_hz
+        ):
+            raise InputError(
+                f"targets_hz must be one or more finite numbers > 0, got {self.targets_hz}"
+            )
+        if self.trials_per_target < 1:
+            raise InputError(
+                f"trials_per_target must be >= 1, got {self.trials_per_target}"
+            )
+        _check_finite_fields(self, positive=("trial_s",), non_negative=("rest_s",))
 
     @property
     def n_trials(self) -> int:
@@ -91,6 +117,15 @@ class SynthProtocol:
     fs_hz: float = 500.0
     baseline_s: float = 10.0
     lead_out_s: float = 2.0
+
+    def __post_init__(self):
+        if not self.tasks:
+            raise InputError("tasks must hold at least one task")
+        if self.n_subjects < 1:
+            raise InputError(f"n_subjects must be >= 1, got {self.n_subjects}")
+        _check_finite_fields(
+            self, positive=("fs_hz",), non_negative=("baseline_s", "lead_out_s")
+        )
 
 
 def default_protocol(n_subjects: int = 14) -> SynthProtocol:
@@ -114,6 +149,9 @@ def _rng_for(cfg: SynthConfig, seed_key: tuple[int, ...]) -> np.random.Generator
 def pink_noise(rng: np.random.Generator, n_channels: int, n: int, rms: float) -> np.ndarray:
     """1/f-power noise via spectral shaping of white noise, scaled to rms."""
     white = rng.standard_normal((n_channels, n))
+    if n < 2:
+        # no frequency above DC to shape: an empty or one-sample segment is silent
+        return np.zeros_like(white)
     spec = np.fft.rfft(white, axis=1)
     freqs = np.fft.rfftfreq(n)
     amp = np.zeros_like(freqs)

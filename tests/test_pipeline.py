@@ -295,12 +295,13 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         (["stats", "--reports", str(reports), "--test", "rm-anova"],
          [str(reports / "r.json"), "task 2", "subject S3", "per_target_snr_db"]),
     ]
-    # non-finite stimulus numbers, and a duration too short for one frame
+    # non-finite stimulus numbers, a duration too short for one frame, and
+    # frame counts above the ceiling
     schedule = str(tmp_path / "s.json")
     for flag, field, values in (
         ("--freq", "stim_freq_hz", ("nan", "inf")),
-        ("--refresh", "refresh_rate_hz", ("nan", "inf")),
-        ("--duration", "duration_s", ("nan", "inf", "1e-9")),
+        ("--refresh", "refresh_rate_hz", ("nan", "inf", "1e300")),
+        ("--duration", "duration_s", ("nan", "inf", "1e-9", "1e300")),
     ):
         argv = ["stimgen", "--paradigm", "radial", "--freq", "8", "--out", schedule]
         for value in values:
@@ -310,6 +311,43 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert all(n in err for n in named), err
+
+
+@pytest.mark.parametrize("subjects", ["0", "-1"])
+def test_cli_synth_rejects_subject_count_below_one(tmp_path, capsys, subjects):
+    out = tmp_path / "ds"
+    assert main(["synth", "--subjects", subjects, "--out", str(out)]) == 2
+    assert "n_subjects" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "where, field, value",
+    [
+        ("task", "trials_per_target", 0),
+        ("task", "targets_hz", []),
+        ("task", "targets_hz", [8.0, -8.0]),
+        ("task", "paradigm", "flicker"),
+        ("task", "trial_s", -1.0),
+        ("task", "rest_s", -1.0),
+        ("protocol", "tasks", []),
+        ("protocol", "fs_hz", 0.0),
+        ("protocol", "baseline_s", -1.0),
+        ("protocol", "lead_out_s", -1.0),
+    ],
+)
+def test_cli_synth_rejects_invalid_protocol(tmp_path, capsys, where, field, value):
+    task = {"paradigm": "gabor_pulse", "targets_hz": [72.0], "trials_per_target": 2}
+    protocol = {"tasks": [task], "n_subjects": 1}
+    (task if where == "task" else protocol)[field] = value
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"protocol": protocol}))
+    out = tmp_path / "ds"
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    named = [str(config), field] + (["task 0"] if where == "task" else [])
+    assert all(n in err for n in named), err
+    assert not out.exists()
 
 
 def test_synth_config_reads_every_protocol_field(tmp_path):

@@ -14,7 +14,7 @@ from veplab import (
     validate_spec,
 )
 from veplab.errors import InputError
-from veplab.stimgen import NonIntegerCycleWarning, write_pgm
+from veplab.stimgen import MAX_FRAMES, NonIntegerCycleWarning, write_pgm
 
 
 def test_radial_phase_unit_points():
@@ -356,3 +356,14 @@ def test_default_frame_allocations_stay_small(tmp_path):
 
     assert peak(lambda: write_pgm(image, tmp_path / "f.pgm")) < 1_000_000
     assert peak(lambda: render_checkerboard(geom, 1.0)) < 1.5 * frame_bytes
+
+
+def test_validate_spec_rejects_frame_counts_above_ceiling():
+    validate_spec(StimulusSpec("radial_motion", 8.0, 144.0, MAX_FRAMES / 144.0))
+    for spec in (
+        StimulusSpec("radial_motion", 8.0, 144.0, MAX_FRAMES / 144.0 + 1.0),
+        StimulusSpec("radial_motion", 8.0, 144.0, 1e300),
+        StimulusSpec("radial_motion", 8.0, 1e300, 1.0),
+    ):
+        with pytest.raises(InputError, match="duration_s .* refresh_rate_hz"):
+            validate_spec(spec)

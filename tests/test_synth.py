@@ -159,3 +159,66 @@ def test_default_protocol_shape():
     assert [t.n_trials for t in proto.tasks] == [30, 30, 30]
     assert proto.tasks[0].targets_hz == (7.2, 9.0, 14.0)
     assert proto.tasks[2].targets_hz == (72.0,)
+
+
+def test_pink_noise_of_under_two_samples_is_silent():
+    rng = np.random.default_rng(2)
+    assert pink_noise(rng, 3, 0, rms=2.5).shape == (3, 0)
+    np.testing.assert_array_equal(pink_noise(rng, 3, 1, rms=2.5), np.zeros((3, 1)))
+
+
+def test_zero_rest_baseline_and_lead_out_synthesize(tmp_path):
+    protocol = SynthProtocol(
+        tasks=(TaskProtocol("gabor_pulse", (72.0,), 2, trial_s=2.0, rest_s=0.0),),
+        n_subjects=1,
+        baseline_s=0.0,
+        lead_out_s=0.0,
+    )
+    manifest = synth_dataset(SynthConfig(seed=3), protocol, tmp_path)
+    rec = load_recording(tmp_path / manifest["subjects"][0]["tasks"][0]["recording"])
+    assert rec.n_samples == 2 * 2.0 * 500
+    assert np.all(np.isfinite(rec.samples))
+
+
+_TASK = dict(paradigm="gabor_pulse", targets_hz=(72.0,), trials_per_target=2)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("paradigm", "flicker"),
+        ("targets_hz", ()),
+        ("targets_hz", (8.0, float("nan"))),
+        ("targets_hz", (float("inf"),)),
+        ("targets_hz", (0.0,)),
+        ("targets_hz", (-8.0,)),
+        ("trials_per_target", 0),
+        ("trial_s", -1.0),
+        ("trial_s", 0.0),
+        ("trial_s", float("nan")),
+        ("rest_s", -1.0),
+        ("rest_s", float("inf")),
+    ],
+)
+def test_task_protocol_rejects_invalid_field(field, value):
+    with pytest.raises(InputError, match=field):
+        TaskProtocol(**dict(_TASK, **{field: value}))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tasks", ()),
+        ("n_subjects", 0),
+        ("n_subjects", -1),
+        ("fs_hz", 0.0),
+        ("fs_hz", float("nan")),
+        ("fs_hz", float("inf")),
+        ("baseline_s", -1.0),
+        ("lead_out_s", -0.5),
+    ],
+)
+def test_synth_protocol_rejects_invalid_field(field, value):
+    base = dict(tasks=(TaskProtocol(**_TASK),))
+    with pytest.raises(InputError, match=field):
+        SynthProtocol(**dict(base, **{field: value}))
