@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="run the offline analysis pipeline")
     p.add_argument("--recording", help="recording CSV")
     p.add_argument("--markers", help="marker CSV")
-    p.add_argument("--task", type=int, choices=(1, 2, 3), help="task id")
+    n_tasks = len(default_protocol().tasks)
+    p.add_argument("--task", type=int, choices=range(1, n_tasks + 1), help="task id")
     p.add_argument("--dataset", help="dataset manifest JSON (batch mode)")
     p.add_argument("--out", required=True, help="report path")
     p.add_argument("--format", choices=("json", "markdown"), default="json")

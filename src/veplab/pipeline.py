@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .dsp import BandpassSpec, bandpass, remove_line_noise, suppress_artifacts
 from .errors import DegenerateDataError, InputError
 from .model import (
     MARKER_OFFSET,
+    MARKER_ONSET,
     Recording,
     TrialEpoch,
     derive_virtual_channel,
@@ -38,6 +40,7 @@ from .model import (
 )
 from .spectral import psd_boxcar, snr_at, snr_spectrum
 from .stimgen import GABOR_PULSE, PATTERN_REVERSAL, RADIAL_MOTION
+from .synth import default_protocol
 
 # band edges bracket each paradigm's targets with margin
 PARADIGM_BANDS = {
@@ -46,11 +49,16 @@ PARADIGM_BANDS = {
     GABOR_PULSE: (65.0, 80.0),
 }
 
-TASK_DEFAULTS = {
-    1: (PATTERN_REVERSAL, (7.2, 9.0, 14.0)),
-    2: (RADIAL_MOTION, (8.0, 12.0, 16.0)),
-    3: (GABOR_PULSE, (72.0,)),
-}
+# the analysis is the same for every task and subject
+ASR_CUTOFF = 20.0
+SKIP_INITIAL_S = 1.0
+SNR_NEIGHBORS = 3
+SNR_SKIP = 1
+N_HARMONICS = 3
+# null rho for 4 s band-limited epochs reaches ~0.4; evoked trials at the
+# default synth amplitudes sit near 0.99
+ONSET_THRESHOLD = 0.6
+ANALYSIS_CHANNEL = "POz"
 
 
 @dataclass(frozen=True)
@@ -63,16 +71,7 @@ class PipelineConfig:
     markers_path: str = ""
     subject: str = ""
     line_freq_hz: float = 50.0
-    asr_cutoff: float = 20.0
-    skip_initial_s: float = 1.0
-    snr_neighbors: int = 3
-    snr_skip: int = 1
-    n_harmonics: int = 3
-    # null rho for 4 s band-limited epochs reaches ~0.4; evoked trials at the
-    # default synth amplitudes sit near 0.99
-    onset_threshold: float = 0.6
-    trial_window_s: tuple[float, float] = (0.0, 5.0)
-    analysis_channel: str = "POz"
+    trial_s: float = 5.0
 
     @property
     def onset_mode(self) -> bool:
@@ -86,9 +85,7 @@ class PipelineConfig:
         narrow task band would erase the harmonic structure that separates
         targets whose frequencies are multiples of each other (8 vs 16 Hz).
         """
-        ceiling = min(
-            self.n_harmonics * max(self.targets_hz) + 2.0, 0.45 * fs_hz
-        )
+        ceiling = min(N_HARMONICS * max(self.targets_hz) + 2.0, 0.45 * fs_hz)
         return default_filter_bank(self.targets_hz, ceiling)
 
 
@@ -103,12 +100,19 @@ def _paradigm_config(task: int, paradigm: str, targets_hz, **fields) -> Pipeline
     )
 
 
-def config_for_task(task: int, **overrides) -> PipelineConfig:
-    """Defaults for the three tasks (targets, band edges, paradigm)."""
-    if task not in TASK_DEFAULTS:
-        raise InputError(f"task must be one of {sorted(TASK_DEFAULTS)}, got {task}")
-    cfg = _paradigm_config(task, *TASK_DEFAULTS[task])
-    return replace(cfg, **overrides) if overrides else cfg
+def config_for_task(
+    task: int, recording_path: str = "", markers_path: str = "", subject: str = ""
+) -> PipelineConfig:
+    """Task `task` (numbered from 1) of `default_protocol()`: its paradigm,
+    targets and trial length."""
+    tasks = default_protocol().tasks
+    if not 1 <= task <= len(tasks):
+        raise InputError(f"task must be one of 1..{len(tasks)}, got {task}")
+    t = tasks[task - 1]
+    return _paradigm_config(
+        task, t.paradigm, t.targets_hz, trial_s=t.trial_s,
+        recording_path=recording_path, markers_path=markers_path, subject=subject,
+    )
 
 
 @dataclass
@@ -156,12 +160,13 @@ class SubjectTaskResult:
         return breakdown.overall, breakdown.per_target
 
 
-def _analysis_channel(rec: Recording, preferred: str) -> tuple[Recording, str]:
+def _analysis_channel(rec: Recording) -> tuple[Recording, str]:
     names = rec.layout.names
-    if preferred in names:
-        return rec, preferred
-    if preferred == "POz" and "Pz" in names and "Oz" in names:
-        return derive_virtual_channel(rec, "POz", ["Pz", "Oz"]), "POz"
+    if ANALYSIS_CHANNEL in names:
+        return rec, ANALYSIS_CHANNEL
+    if "Pz" in names and "Oz" in names:
+        rec = derive_virtual_channel(rec, ANALYSIS_CHANNEL, ["Pz", "Oz"])
+        return rec, ANALYSIS_CHANNEL
     rec = derive_virtual_channel(rec, "avg_all", list(names))
     return rec, "avg_all"
 
@@ -181,9 +186,27 @@ def _preprocess(epoch: TrialEpoch, cfg: PipelineConfig, trial: int) -> TrialEpoc
     return epoch
 
 
-def _post_skip(epoch: TrialEpoch, cfg: PipelineConfig) -> TrialEpoch:
-    k0 = round(cfg.skip_initial_s * epoch.sample_rate_hz)
+def _post_skip(epoch: TrialEpoch) -> TrialEpoch:
+    k0 = round(SKIP_INITIAL_S * epoch.sample_rate_hz)
     return epoch.replace_samples(epoch.samples[:, k0:])
+
+
+def _check_rest_windows(rec: Recording, markers, trial_s: float, where: str) -> None:
+    """Each rest window read after an offset marker must end by the next onset
+    marker; past it, the "rest" samples would hold the next stimulation.
+
+    Compared in samples, snapped as extract_epochs snaps them.
+    """
+    fs = rec.sample_rate_hz
+    onsets = [t for t, _, _ in markers.with_prefix(MARKER_ONSET)]
+    for t_off, _, _ in markers.with_prefix(MARKER_OFFSET):
+        t_on = next((t for t in onsets if t >= t_off), None)
+        end = round((t_off - rec.t0) * fs) + round(trial_s * fs)
+        if t_on is not None and end > round((t_on - rec.t0) * fs):
+            raise InputError(
+                f"{where}: the {trial_s} s rest window after the offset marker at "
+                f"{t_off} s reaches past the onset marker at {t_on} s"
+            )
 
 
 def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
@@ -192,42 +215,40 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
         raise InputError("config must carry recording_path and markers_path")
     rec = _staged("load", None, load_recording, cfg.recording_path)
     markers = _staged("load", None, load_markers, cfg.markers_path)
-    rec, channel = _analysis_channel(rec, cfg.analysis_channel)
+    rec, channel = _analysis_channel(rec)
     # Artifact suppression runs on the continuous recording: its calibration
     # needs >= 10 s of data, which no single trial epoch can provide.
-    rec = _staged("artifact-suppression", None, suppress_artifacts, rec, cfg.asr_cutoff)
-    epochs = _staged("epoching", None, extract_epochs, rec, markers, cfg.trial_window_s)
+    rec = _staged("artifact-suppression", None, suppress_artifacts, rec, ASR_CUTOFF)
+    window = (0.0, cfg.trial_s)
+    epochs = _staged("epoching", None, extract_epochs, rec, markers, window)
     ch_idx = rec.layout.index(channel)
 
     fs = rec.sample_rate_hz
-    n_harm = cfg.n_harmonics
+    n_harm = N_HARMONICS
     if cfg.onset_mode:
         # harmonics outside the analysis band cannot appear in the
         # band-passed epoch; they would only inflate the null rho
         n_harm = max(1, min(n_harm, int(cfg.band.hi_hz // max(cfg.targets_hz))))
     # every decoded segment is one epoch window minus the onset skip
-    start_s, end_s = cfg.trial_window_s
-    n_segment = round((end_s - start_s) * fs) - round(cfg.skip_initial_s * fs)
+    n_segment = round(cfg.trial_s * fs) - round(SKIP_INITIAL_S * fs)
     if n_segment < 2:
         raise InputError(
-            f"skip of {cfg.skip_initial_s} s leaves under 2 samples of a "
-            f"{end_s - start_s} s trial window"
+            f"skip of {SKIP_INITIAL_S} s leaves under 2 samples of a "
+            f"{cfg.trial_s} s trial window"
         )
     refs = make_references(cfg.targets_hz, n_harm, fs, n_segment)
     bank = cfg.filter_bank(fs)
 
     def onset_decision(narrow: TrialEpoch, trial: int) -> Decision:
         # single-target on/off call runs on the band-passed epoch
-        segment = _post_skip(narrow, cfg)
-        return _staged(
-            "decode", trial, detect_onset, segment, refs, cfg.onset_threshold
-        )
+        segment = _post_skip(narrow)
+        return _staged("decode", trial, detect_onset, segment, refs, ONSET_THRESHOLD)
 
     trials = []
     for i, epoch in enumerate(epochs):
         narrow = _preprocess(epoch, cfg, i)
-        psd = _staged("psd", i, psd_boxcar, narrow, cfg.skip_initial_s)
-        snr = _staged("snr", i, snr_spectrum, psd, cfg.snr_neighbors, cfg.snr_skip)
+        psd = _staged("psd", i, psd_boxcar, narrow, SKIP_INITIAL_S)
+        snr = _staged("snr", i, snr_spectrum, psd, SNR_NEIGHBORS, SNR_SKIP)
         readout = _staged("snr", i, snr_at, snr, epoch.target_freq_hz)
         if cfg.onset_mode:
             decision = onset_decision(narrow, i)
@@ -238,7 +259,7 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
             cleaned = _staged(
                 "line-removal", i, remove_line_noise, epoch, cfg.line_freq_hz
             )
-            segment = _post_skip(cleaned, cfg)
+            segment = _post_skip(cleaned)
             decision = _staged("decode", i, fbcca_decide, segment, refs, bank)
         trials.append(
             TrialOutcome(
@@ -252,14 +273,10 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
     offset_decisions = []
     if cfg.onset_mode:
         rest_epochs = _staged(
-            "epoching",
-            None,
-            extract_epochs,
-            rec,
-            markers,
-            cfg.trial_window_s,
+            "epoching", None, extract_epochs, rec, markers, window,
             marker_prefix=MARKER_OFFSET,
         )
+        _check_rest_windows(rec, markers, cfg.trial_s, cfg.markers_path)
         offset_decisions = [
             onset_decision(_preprocess(epoch, cfg, i), i)
             for i, epoch in enumerate(rest_epochs)
@@ -407,6 +424,18 @@ def _manifest_entries(manifest_path: str) -> list[tuple[PipelineConfig, float | 
         raise InputError(f"{manifest_path}: malformed manifest: {exc}") from None
     if not isinstance(manifest, dict):
         raise InputError(f"{manifest_path}: top level must be a JSON object")
+    # the mains frequency synth wrote into the data; 50 Hz when not recorded
+    config = json_value(manifest, "config", dict, manifest_path, required=False) or {}
+    line_freq_hz = config.get("line_freq_hz", PipelineConfig.line_freq_hz)
+    # bounded by the largest float: a JSON integer past it compares below inf
+    if isinstance(line_freq_hz, bool) or not (
+        isinstance(line_freq_hz, (int, float))
+        and 0 < line_freq_hz <= sys.float_info.max
+    ):
+        raise InputError(
+            f"{manifest_path}: config.line_freq_hz must be a finite number > 0, "
+            f"got {line_freq_hz!r}"
+        )
     entries: list[tuple[PipelineConfig, float | None]] = []
     for subj in json_value(manifest, "subjects", list, manifest_path, item=dict):
         sid = json_value(subj, "id", str, f"{manifest_path}: subject")
@@ -437,7 +466,8 @@ def _manifest_entries(manifest_path: str) -> list[tuple[PipelineConfig, float | 
                 recording_path=paths["recording"],
                 markers_path=paths["markers"],
                 subject=sid,
-                trial_window_s=(0.0, 5.0 if trial_s is None else float(trial_s)),
+                line_freq_hz=float(line_freq_hz),
+                trial_s=PipelineConfig.trial_s if trial_s is None else float(trial_s),
             )
             fatigue = None
             items = json_value(

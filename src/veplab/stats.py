@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateDataError, InputError
 
 # conventional 18-item split: items 6-10 (1-based) probe energy, the rest fatigue
-ENERGY_ITEMS_DEFAULT = (5, 6, 7, 8, 9)
+ENERGY_ITEMS = (5, 6, 7, 8, 9)
 
 
 @dataclass(frozen=True)
@@ -125,21 +125,14 @@ def paired_t(a, b) -> PairedTResult:
     )
 
 
-def score_vasf(
-    items,
-    baseline: VasfScore | None = None,
-    energy_items: tuple[int, ...] = ENERGY_ITEMS_DEFAULT,
-) -> VasfScore:
-    """Average the 13 fatigue and 5 energy items; optionally baseline-correct."""
+def score_vasf(items, baseline: VasfScore | None = None) -> VasfScore:
+    """Average the 13 fatigue and 5 energy (ENERGY_ITEMS) items; optionally
+    baseline-correct."""
     vals = [float(v) for v in items]
     if len(vals) != 18:
         raise InputError(f"VAS-F has 18 items, got {len(vals)}")
-    energy_idx = set(energy_items)
-    if len(energy_idx) != 5 or not all(0 <= i < 18 for i in energy_idx):
-        raise InputError("energy_items must be 5 distinct indices in 0..17")
-    fatigue_idx = [i for i in range(18) if i not in energy_idx]
-    fatigue = float(np.mean([vals[i] for i in fatigue_idx]))
-    energy = float(np.mean([vals[i] for i in energy_idx]))
+    fatigue = float(np.mean([v for i, v in enumerate(vals) if i not in ENERGY_ITEMS]))
+    energy = float(np.mean([vals[i] for i in ENERGY_ITEMS]))
     if baseline is None:
         return VasfScore(fatigue=fatigue, energy=energy)
     return VasfScore(

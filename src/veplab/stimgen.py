@@ -57,11 +57,9 @@ class CheckerGeometry:
 class GaborParams:
     """Sinusoidal grating with Gaussian envelope.
 
-    spatial_freq is in cycles per stimulus width; phase in radians. By
-    default the pulse modulates the mask width (scale on sigma) with depth
-    in [0, 1]; pulse_mode="amplitude" modulates the grating contrast
-    instead, since the mechanics of the pulsing motion are a configuration
-    choice.
+    spatial_freq is in cycles per stimulus width; phase in radians. The
+    pulse scales the Gaussian mask width (sigma) by 1 +- pulse_depth, with
+    pulse_depth in [0, 1]; the grating contrast stays fixed.
     """
 
     contrast: float = 1.0
@@ -70,7 +68,6 @@ class GaborParams:
     mask_sigma_px: float = 48.0
     pulse_depth: float = 0.3
     size_px: int = 256
-    pulse_mode: str = "mask_width"
 
     def __post_init__(self):
         if not 0.0 <= self.contrast <= 1.0:
@@ -81,13 +78,6 @@ class GaborParams:
             raise InputError("mask_sigma_px must be > 0")
         if self.size_px <= 0:
             raise InputError("size_px must be > 0")
-        if self.pulse_mode not in ("mask_width", "amplitude"):
-            raise InputError(f"unknown pulse_mode {self.pulse_mode!r}")
-        if self.pulse_mode == "amplitude" and self.contrast * (1 + self.pulse_depth) > 1.0:
-            raise InputError(
-                "amplitude pulsing would push luminance out of [-1, 1]; "
-                "lower contrast or pulse_depth"
-            )
 
 
 @dataclass(frozen=True)
@@ -326,9 +316,6 @@ def render_frame(spec: StimulusSpec, state) -> LuminanceImage:
         return render_checkerboard(geometry, np.pi * int(state))
     if spec.paradigm == RADIAL_MOTION:
         return render_checkerboard(geometry, float(state))
-    if geometry.pulse_mode == "amplitude":
-        img = render_gabor(geometry, 1.0)
-        return LuminanceImage(img.values * float(state))
     return render_gabor(geometry, float(state))
 
 

@@ -4,7 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from veplab import SynthConfig, SynthProtocol, TaskProtocol, synth_dataset
+from veplab import (
+    SynthConfig,
+    SynthProtocol,
+    TaskProtocol,
+    default_protocol,
+    pipeline,
+    synth_dataset,
+)
 from veplab.cli import main
 from veplab.errors import InputError
 from veplab.pipeline import (
@@ -38,14 +45,20 @@ def tiny_dataset(tmp_path_factory):
 
 
 def test_config_for_task_defaults():
+    for task, proto in enumerate(default_protocol().tasks, start=1):
+        cfg = config_for_task(task)
+        assert (cfg.paradigm, cfg.targets_hz, cfg.trial_s) == (
+            proto.paradigm, proto.targets_hz, proto.trial_s
+        )
     cfg = config_for_task(1)
     assert cfg.targets_hz == (7.2, 9.0, 14.0)
     assert (cfg.band.lo_hz, cfg.band.hi_hz) == (7.0, 15.0)
-    assert cfg.skip_initial_s == 1.0
-    assert cfg.snr_neighbors == 3 and cfg.snr_skip == 1
+    assert pipeline.SKIP_INITIAL_S == 1.0
+    assert pipeline.SNR_NEIGHBORS == 3 and pipeline.SNR_SKIP == 1
     assert config_for_task(3).targets_hz == (72.0,)
-    with pytest.raises(InputError):
-        config_for_task(9)
+    for task in (0, 9):
+        with pytest.raises(InputError):
+            config_for_task(task)
 
 
 def test_single_recording_pipeline(tiny_dataset):
@@ -416,3 +429,124 @@ def test_markdown_is_pipe_table(tiny_dataset):
     assert lines[0].startswith("| Subject |")
     assert re.match(r"^\|(-+\|)+$", lines[1].replace("-", "-"))
     assert lines[-1].startswith("| Average |")
+
+
+def _pinned_row(subject, snr_db, fatigue, per_target_snr_db):
+    return {
+        "subject": subject,
+        "snr_db": snr_db,
+        "accuracy_pct": 100.0,
+        "fatigue": fatigue,
+        "per_target_snr_db": per_target_snr_db,
+        "per_target_accuracy_pct": dict.fromkeys(per_target_snr_db, 100.0),
+    }
+
+
+def _pinned_aggregate(snr_db, fatigue):
+    return {
+        "snr_db": dict(zip(("mean", "se"), snr_db)),
+        "accuracy_pct": {"mean": 100.0, "se": 0.0},
+        "fatigue": dict(zip(("mean", "se"), fatigue)),
+    }
+
+
+# the report of tiny_dataset as the analysis wrote it before its settings
+# became constants; any moved number fails here
+PINNED_TINY_REPORT = {"tasks": [
+    {
+        "task": 1,
+        "paradigm": "radial_motion",
+        "targets": [8.0, 12.0, 16.0],
+        "aggregate": _pinned_aggregate((30.3973, 0.5046), (0.6231, 0.5004)),
+        "rows": [
+            _pinned_row("S1", 30.8251, 1.5154,
+                        {"8.0": 29.8072, "12.0": 29.7585, "16.0": 32.9097}),
+            _pinned_row("S2", 30.975, 0.5692,
+                        {"8.0": 29.8799, "12.0": 31.4473, "16.0": 31.5979}),
+            _pinned_row("S3", 29.3918, -0.2154,
+                        {"8.0": 27.3296, "12.0": 30.0057, "16.0": 30.84}),
+        ],
+    },
+    {
+        "task": 2,
+        "paradigm": "gabor_pulse",
+        "targets": [72.0],
+        "aggregate": _pinned_aggregate((38.18, 0.6845), (0.241, 0.3222)),
+        "rows": [
+            _pinned_row("S1", 36.8555, -0.1077, {"72.0": 36.8555}),
+            _pinned_row("S2", 39.1419, 0.8846, {"72.0": 39.1419}),
+            _pinned_row("S3", 38.5427, -0.0538, {"72.0": 38.5427}),
+        ],
+    },
+]}
+
+
+def test_tiny_dataset_report_numbers_are_pinned(tiny_dataset):
+    out, _ = tiny_dataset
+    report = json.loads(analyze_dataset(out / "manifest.json").to_json())
+    assert report == PINNED_TINY_REPORT
+
+
+def _line_frequencies(monkeypatch, manifest_path) -> set[float]:
+    """Every line frequency analyze_dataset removes for manifest_path."""
+    seen = set()
+    original = pipeline.remove_line_noise
+
+    def recording(epoch, f_line):
+        seen.add(f_line)
+        return original(epoch, f_line)
+
+    monkeypatch.setattr(pipeline, "remove_line_noise", recording)
+    analyze_dataset(manifest_path)
+    return seen
+
+
+def test_line_frequency_comes_from_the_manifest(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "ds"
+    protocol = SynthProtocol(
+        tasks=(
+            TaskProtocol("radial_motion", (8.0, 12.0), 1),
+            TaskProtocol("gabor_pulse", (72.0,), 1),
+        ),
+        n_subjects=1,
+    )
+    manifest = synth_dataset(SynthConfig(line_freq_hz=60.0, seed=3), protocol, out)
+    assert _line_frequencies(monkeypatch, out / "manifest.json") == {60.0}
+
+    del manifest["config"]["line_freq_hz"]
+    unrecorded = out / "unrecorded.json"
+    unrecorded.write_text(json.dumps(manifest))
+    assert _line_frequencies(monkeypatch, unrecorded) == {50.0}
+
+    capsys.readouterr()
+    for value in (float("nan"), float("inf"), 0, -60.0, 10**400, "60", True):
+        manifest["config"]["line_freq_hz"] = value
+        bad = out / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        argv = ["analyze", "--dataset", str(bad), "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "config.line_freq_hz" in err, err
+
+
+def test_rest_window_past_next_onset_is_an_input_error(tmp_path, capsys):
+    # 1 s rests under 5 s windows: each rest epoch would read the next
+    # stimulation, and onset accuracy would come out wrong instead
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"protocol": {
+        "tasks": [{"paradigm": "gabor_pulse", "targets_hz": [72.0],
+                   "trials_per_target": 6, "trial_s": 5.0, "rest_s": 1.0}],
+        "n_subjects": 1,
+        "lead_out_s": 6.0,
+    }}))
+    out = tmp_path / "ds"
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    assert main(["analyze", "--dataset", str(out / "manifest.json"),
+                 "--out", str(report)]) == 2
+    err = capsys.readouterr().err
+    named = ["sub01_task1_markers.csv", "offset marker at 15.0 s",
+             "onset marker at 16.0 s"]
+    assert all(n in err for n in named), err
+    assert not report.exists()

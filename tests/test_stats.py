@@ -165,5 +165,3 @@ def test_score_vasf_thirteenths_grid():
 def test_score_vasf_validates():
     with pytest.raises(InputError):
         score_vasf([1.0] * 17)
-    with pytest.raises(InputError):
-        score_vasf([1.0] * 18, energy_items=(0, 1, 2, 3))

@@ -185,21 +185,6 @@ def test_rendered_values_in_range():
         assert img.min() >= -1.0 and img.max() <= 1.0
 
 
-def test_amplitude_pulse_mode():
-    from veplab.stimgen import render_frame
-
-    params = GaborParams(contrast=0.5, phase=0.0, size_px=33, mask_sigma_px=8.0,
-                         pulse_depth=0.4, pulse_mode="amplitude")
-    spec = StimulusSpec("gabor_pulse", 72.0, 144.0, 0.1, geometry=params)
-    base = render_gabor(params, 1.0).values
-    np.testing.assert_allclose(render_frame(spec, 1.4).values, base * 1.4, atol=1e-12)
-    np.testing.assert_allclose(render_frame(spec, 0.6).values, base * 0.6, atol=1e-12)
-    with pytest.raises(InputError):
-        GaborParams(contrast=0.9, pulse_depth=0.5, pulse_mode="amplitude")
-    with pytest.raises(InputError):
-        GaborParams(pulse_mode="wobble")
-
-
 def test_schedule_json_and_pgm(tmp_path):
     sch = build_frame_schedule(StimulusSpec("radial_motion", 8.0, 144.0, 0.1))
     data = json.loads(sch.to_json())
@@ -311,7 +296,7 @@ def test_luminance_rejects_nan():
     for scale in (np.nan, np.inf):
         with pytest.raises(InputError, match="mask_scale"):
             render_gabor(GaborParams(), scale)
-    params = GaborParams(size_px=16, contrast=0.5, pulse_mode="amplitude")
+    params = GaborParams(size_px=16)
     spec = StimulusSpec("gabor_pulse", 72.0, 144.0, 0.1, geometry=params)
     with pytest.raises(InputError):
         render_frame(spec, np.nan)
