@@ -56,13 +56,30 @@ def bandpass(epoch: TrialEpoch, spec: BandpassSpec) -> TrialEpoch:
     return epoch.replace_samples(filtered)
 
 
-def _fit_tone(seg: np.ndarray, t: np.ndarray, f_line: float) -> np.ndarray:
-    """Least-squares sin/cos fit at f_line; returns the fitted tone per channel."""
+@functools.lru_cache(maxsize=16)
+def _tone_basis(n: int, fs_hz: float, f_line: float) -> np.ndarray:
+    """Orthonormal basis of the sin/cos design at f_line over n samples.
+
+    Projecting onto it gives the least-squares tone fit; columns whose
+    singular value lstsq's default rcond would drop are left out, so a
+    rank-deficient design fits what lstsq fits. Cached read-only: every full
+    window of a line removal shares one design.
+    """
+    t = np.arange(n) / fs_hz
     design = np.column_stack(
         [np.sin(2 * np.pi * f_line * t), np.cos(2 * np.pi * f_line * t)]
     )
-    coef, *_ = np.linalg.lstsq(design, seg.T, rcond=None)
-    return (design @ coef).T
+    u, sv, _ = np.linalg.svd(design, full_matrices=False)
+    cutoff = (sv[0] if sv.size else 0.0) * np.finfo(float).eps * max(design.shape)
+    basis = u[:, sv > cutoff]
+    basis.flags.writeable = False
+    return basis
+
+
+def _fit_tone(seg: np.ndarray, fs_hz: float, f_line: float) -> np.ndarray:
+    """Least-squares sin/cos fit at f_line along the last axis, t from 0."""
+    basis = _tone_basis(seg.shape[-1], fs_hz, f_line)
+    return (seg @ basis) @ basis.T
 
 
 def remove_line_noise(
@@ -72,7 +89,8 @@ def remove_line_noise(
 
     Windows are window_s long with 50% overlap; the per-window estimates are
     blended by raised-cosine overlap-add so the subtraction tracks slow
-    amplitude or phase drift of the interference.
+    amplitude or phase drift of the interference. Every full window starts
+    its time axis at 0, so all of them are fitted by one batched projection.
     """
     fs = epoch.sample_rate_hz
     if f_line >= fs / 2:
@@ -81,25 +99,28 @@ def remove_line_noise(
     n = x.shape[1]
     win_len = round(window_s * fs)
     if n <= win_len:
-        t = np.arange(n) / fs
-        return epoch.replace_samples(x - _fit_tone(x, t, f_line))
+        return epoch.replace_samples(x - _fit_tone(x, fs, f_line))
+    if win_len < 16:
+        return epoch  # no window holds a fit's worth of samples
 
     hop = win_len // 2
+    starts = list(range(0, n - win_len + 1, hop))
+    windows = np.lib.stride_tricks.sliding_window_view(x, win_len, axis=1)
+    fits = _fit_tone(windows[:, starts], fs, f_line)
     tone = np.zeros_like(x)
     weight = np.zeros(n)
-    for start in range(0, n, hop):
-        stop = min(n, start + win_len)
-        seg = x[:, start:stop]
-        if seg.shape[1] < 16:
-            break  # tail shorter than a fit's worth; prior window covers it
-        t = np.arange(seg.shape[1]) / fs
-        fit = _fit_tone(seg, t, f_line)
-        # epsilon keeps the normalization exact where only one window reaches
-        w = np.hanning(seg.shape[1]) + 1e-9
-        tone[:, start:stop] += fit * w[None, :]
-        weight[start:stop] += w
-        if stop == n:
-            break
+    # epsilon keeps the normalization exact where only one window reaches
+    w = np.hanning(win_len) + 1e-9
+    for k, start in enumerate(starts):
+        tone[:, start : start + win_len] += fits[:, k] * w
+        weight[start : start + win_len] += w
+    tail = starts[-1] + hop
+    if starts[-1] + win_len < n and n - tail >= 16:
+        # the one partial window reaching the end; a shorter tail is
+        # covered by the last full window alone
+        w = np.hanning(n - tail) + 1e-9
+        tone[:, tail:] += _fit_tone(x[:, tail:], fs, f_line) * w
+        weight[tail:] += w
     weight[weight == 0] = 1.0
     return epoch.replace_samples(x - tone / weight[None, :])
 

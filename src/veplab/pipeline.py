@@ -483,7 +483,15 @@ def analyze_dataset(manifest_path) -> Report:
     """Analyze every subject/task pair listed in a synthetic-dataset manifest."""
     by_task: dict[int, tuple[PipelineConfig, list[dict]]] = {}
     for cfg, fatigue in _manifest_entries(str(manifest_path)):
-        row = _row_from_result(analyze_recording(cfg), fatigue)
+        try:
+            result = analyze_recording(cfg)
+        except (InputError, DegenerateDataError) as exc:
+            where = (
+                f"{manifest_path}: subject {cfg.subject}, task {cfg.task}, "
+                f"recording {os.path.basename(cfg.recording_path)}"
+            )
+            raise type(exc)(f"{where}: {exc}") from exc
+        row = _row_from_result(result, fatigue)
         by_task.setdefault(cfg.task, (cfg, []))[1].append(row)
     return Report(tasks=[_task_entry(*by_task[t]) for t in sorted(by_task)])
 

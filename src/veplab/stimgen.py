@@ -59,7 +59,8 @@ class GaborParams:
 
     spatial_freq is in cycles per stimulus width; phase in radians. The
     pulse scales the Gaussian mask width (sigma) by 1 +- pulse_depth, with
-    pulse_depth in [0, 1]; the grating contrast stays fixed.
+    pulse_depth in [0, 1) so the narrowest mask keeps a width; the grating
+    contrast stays fixed.
     """
 
     contrast: float = 1.0
@@ -72,8 +73,8 @@ class GaborParams:
     def __post_init__(self):
         if not 0.0 <= self.contrast <= 1.0:
             raise InputError(f"contrast must be in [0, 1], got {self.contrast}")
-        if not 0.0 <= self.pulse_depth <= 1.0:
-            raise InputError(f"pulse_depth must be in [0, 1], got {self.pulse_depth}")
+        if not 0.0 <= self.pulse_depth < 1.0:
+            raise InputError(f"pulse_depth must be in [0, 1), got {self.pulse_depth}")
         if self.mask_sigma_px <= 0:
             raise InputError("mask_sigma_px must be > 0")
         if self.size_px <= 0:

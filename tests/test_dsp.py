@@ -210,3 +210,59 @@ def test_all_ops_preserve_shape():
     assert remove_line_noise(ep, 50.0).samples.shape == ep.samples.shape
     rec = noise_recording(np.random.default_rng(5), n_ch=3, duration=12.0)
     assert suppress_artifacts(rec, 20.0).samples.shape == rec.samples.shape
+
+
+def per_window_lstsq(x, fs, f_line, window_s):
+    """Reference line removal: one lstsq per raised-cosine window."""
+
+    def fit(seg):
+        t = np.arange(seg.shape[1]) / fs
+        design = np.column_stack(
+            [np.sin(2 * np.pi * f_line * t), np.cos(2 * np.pi * f_line * t)]
+        )
+        coef, *_ = np.linalg.lstsq(design, seg.T, rcond=None)
+        return (design @ coef).T
+
+    n = x.shape[1]
+    win_len = round(window_s * fs)
+    if n <= win_len:
+        return x - fit(x)
+    hop = win_len // 2
+    tone = np.zeros_like(x)
+    weight = np.zeros(n)
+    for start in range(0, n, hop):
+        stop = min(n, start + win_len)
+        seg = x[:, start:stop]
+        if seg.shape[1] < 16:
+            break
+        w = np.hanning(seg.shape[1]) + 1e-9
+        tone[:, start:stop] += fit(seg) * w[None, :]
+        weight[start:stop] += w
+        if stop == n:
+            break
+    weight[weight == 0] = 1.0
+    return x - tone / weight[None, :]
+
+
+@pytest.mark.parametrize(
+    "n, window_s",
+    [
+        (1, 1.0),  # n <= win_len: one fit over the whole epoch
+        (300, 1.0),
+        (500, 1.0),
+        (2500, 1.0),  # full windows end exactly at the last sample
+        (2760, 1.0),  # a partial tail window is fitted
+        (2595, 0.05),  # 25-sample windows: the 15-sample tail is too short to fit
+        (2596, 0.05),  # ... and a 16-sample tail is fitted
+        (2500, 0.02),  # 10-sample windows: none is long enough to fit
+    ],
+)
+def test_batched_line_fit_matches_per_window_lstsq(n, window_s):
+    rng = np.random.default_rng(n)
+    t = np.arange(n) / FS
+    x = rng.normal(scale=3.0, size=(5, n)) + 2.0 * np.sin(2 * np.pi * 50.0 * t + 0.3)
+    ep = TrialEpoch("t", 10.0, x, FS, 0.0)
+    for f_line in (50.0, 60.0):
+        out = remove_line_noise(ep, f_line, window_s).samples
+        expected = per_window_lstsq(x, FS, f_line, window_s)
+        assert np.max(np.abs(out - expected)) <= 1e-12

@@ -156,7 +156,7 @@ def recording_tables(draw):
             lines.insert(at, "")
         elif kind == "space line":
             lines.insert(at, draw(spaces))
-        elif rows:
+        elif rows and rows[at % len(rows)]:  # "ragged" pops can empty a row
             row = rows[at % len(rows)]
             col = draw(st.integers(0, len(row) - 1))
             if kind == "cell":

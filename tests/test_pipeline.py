@@ -450,32 +450,32 @@ def _pinned_aggregate(snr_db, fatigue):
     }
 
 
-# the report of tiny_dataset as the analysis wrote it before its settings
-# became constants; any moved number fails here
+# the report of tiny_dataset with recordings stored at the 2^-5 uV ADC step;
+# any moved number fails here
 PINNED_TINY_REPORT = {"tasks": [
     {
         "task": 1,
         "paradigm": "radial_motion",
         "targets": [8.0, 12.0, 16.0],
-        "aggregate": _pinned_aggregate((30.3973, 0.5046), (0.6231, 0.5004)),
+        "aggregate": _pinned_aggregate((30.3989, 0.505), (0.6231, 0.5004)),
         "rows": [
-            _pinned_row("S1", 30.8251, 1.5154,
-                        {"8.0": 29.8072, "12.0": 29.7585, "16.0": 32.9097}),
-            _pinned_row("S2", 30.975, 0.5692,
-                        {"8.0": 29.8799, "12.0": 31.4473, "16.0": 31.5979}),
-            _pinned_row("S3", 29.3918, -0.2154,
-                        {"8.0": 27.3296, "12.0": 30.0057, "16.0": 30.84}),
+            _pinned_row("S1", 30.8294, 1.5154,
+                        {"8.0": 29.8115, "12.0": 29.7654, "16.0": 32.9114}),
+            _pinned_row("S2", 30.9749, 0.5692,
+                        {"8.0": 29.8778, "12.0": 31.4498, "16.0": 31.597}),
+            _pinned_row("S3", 29.3924, -0.2154,
+                        {"8.0": 27.3286, "12.0": 30.005, "16.0": 30.8435}),
         ],
     },
     {
         "task": 2,
         "paradigm": "gabor_pulse",
         "targets": [72.0],
-        "aggregate": _pinned_aggregate((38.18, 0.6845), (0.241, 0.3222)),
+        "aggregate": _pinned_aggregate((38.1786, 0.6864), (0.241, 0.3222)),
         "rows": [
-            _pinned_row("S1", 36.8555, -0.1077, {"72.0": 36.8555}),
-            _pinned_row("S2", 39.1419, 0.8846, {"72.0": 39.1419}),
-            _pinned_row("S3", 38.5427, -0.0538, {"72.0": 38.5427}),
+            _pinned_row("S1", 36.8534, -0.1077, {"72.0": 36.8534}),
+            _pinned_row("S2", 39.1514, 0.8846, {"72.0": 39.1514}),
+            _pinned_row("S3", 38.5311, -0.0538, {"72.0": 38.5311}),
         ],
     },
 ]}
@@ -550,3 +550,26 @@ def test_rest_window_past_next_onset_is_an_input_error(tmp_path, capsys):
              "onset marker at 16.0 s"]
     assert all(n in err for n in named), err
     assert not report.exists()
+
+
+def test_dataset_errors_name_the_manifest_entry(tmp_path, capsys):
+    # with 1 s rests and the default 2 s lead-out, the last 5 s rest window
+    # runs past the end of the recording
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"protocol": {
+        "tasks": [{"paradigm": "gabor_pulse", "targets_hz": [72.0],
+                   "trials_per_target": 2, "trial_s": 5.0, "rest_s": 1.0}],
+        "n_subjects": 1,
+    }}))
+    out = tmp_path / "ds"
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+    manifest = out / "manifest.json"
+    capsys.readouterr()
+    assert main(["analyze", "--dataset", str(manifest),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    where = f"{manifest}: subject S1, task 1, recording sub01_task1_recording.csv: "
+    assert where + "stage epoching: " in err, err
+    with pytest.raises(InputError, match="exceeds recording bounds") as info:
+        analyze_dataset(manifest)
+    assert type(info.value) is InputError

@@ -352,3 +352,16 @@ def test_validate_spec_rejects_frame_counts_above_ceiling():
     ):
         with pytest.raises(InputError, match="duration_s .* refresh_rate_hz"):
             validate_spec(spec)
+
+
+def test_pulse_depth_keeps_the_mask_width_positive(tmp_path):
+    from veplab.stimgen import write_frame_stack
+
+    # depth 1 would shrink the mask to zero width at the pulse trough
+    with pytest.raises(InputError, match=r"pulse_depth must be in \[0, 1\)"):
+        GaborParams(pulse_depth=1.0)
+    params = GaborParams(pulse_depth=0.999, size_px=16)
+    spec = StimulusSpec("gabor_pulse", 72.0, 144.0, 0.05, geometry=params)
+    sch = build_frame_schedule(spec)
+    assert write_frame_stack(spec, sch, tmp_path / "frames") == sch.n_frames == 7
+    assert len(list((tmp_path / "frames").iterdir())) == 7

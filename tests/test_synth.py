@@ -14,8 +14,9 @@ from veplab import (
     synth_dataset,
     synth_trial,
 )
+from veplab import synth
 from veplab.errors import InputError
-from veplab.synth import pink_noise
+from veplab.synth import ADC_STEP_UV, pink_noise
 
 
 def quiet_config(**kw):
@@ -222,3 +223,42 @@ def test_synth_protocol_rejects_invalid_field(field, value):
     base = dict(tasks=(TaskProtocol(**_TASK),))
     with pytest.raises(InputError, match=field):
         SynthProtocol(**dict(base, **{field: value}))
+
+
+def _recorded_dataset(tmp_path, monkeypatch):
+    """One subject's recordings as written, and the unrounded assembly of
+    each: the _segment outputs in the order the recording concatenates them."""
+    segments = []
+    original = synth._segment
+
+    def recording(*args):
+        segments.append(original(*args))
+        return segments[-1]
+
+    monkeypatch.setattr(synth, "_segment", recording)
+    manifest = synth_dataset(SynthConfig(seed=6), small_protocol(n_subjects=1), tmp_path)
+    pairs = []
+    for task in manifest["subjects"][0]["tasks"]:
+        n_segments = 2 + 2 * len(task["trials"])  # baseline, trial/rest pairs, lead-out
+        exact = np.concatenate(segments[:n_segments], axis=1)
+        del segments[:n_segments]
+        pairs.append((tmp_path / task["recording"], exact))
+    assert not segments
+    return pairs
+
+
+def test_dataset_recordings_are_whole_adc_steps(tmp_path, monkeypatch):
+    for path, exact in _recorded_dataset(tmp_path, monkeypatch):
+        x = load_recording(path).samples
+        counts = x / ADC_STEP_UV
+        np.testing.assert_array_equal(counts, np.rint(counts))
+        assert np.max(np.abs(x - exact)) <= ADC_STEP_UV / 2
+        # values within half a step below zero round to zero, not to -0.0
+        assert np.any(exact < 0) and np.any((exact > -ADC_STEP_UV / 2) & (exact < 0))
+        assert not np.any((x == 0) & np.signbit(x))
+        assert "-0.0" not in path.read_text().replace("\n", ",").split(",")
+
+
+def test_synth_trial_is_not_quantised():
+    counts = synth_trial(SynthConfig(seed=6), 12.0, 2.0, 500.0).samples / ADC_STEP_UV
+    assert np.mean(counts != np.rint(counts)) > 0.99
