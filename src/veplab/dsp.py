@@ -1,6 +1,10 @@
 """Preprocessing chain: zero-phase band-pass, line-noise removal, artifact
 suppression.
 
+The band-pass is scipy's sosfiltfilt, one design per distinct band; an epoch
+no longer than the filter's pad length (27 samples at order 4) is rejected
+with InputError.
+
 Line noise is removed by least-squares fitting a sinusoid at the mains
 frequency in overlapping 1 s windows (raised-cosine overlap-add), and
 artifacts by windowed principal-subspace cleaning calibrated on the quietest
@@ -47,11 +51,19 @@ def _butter_sos(order: int, lo_hz: float, hi_hz: float, fs_hz: float) -> np.ndar
 
 
 def bandpass(epoch: TrialEpoch, spec: BandpassSpec) -> TrialEpoch:
-    """Forward-backward Butterworth band-pass, per channel, length preserved."""
+    """Forward-backward Butterworth band-pass, per channel, length preserved.
+
+    An epoch no longer than sosfiltfilt's pad length is an InputError.
+    """
     from scipy import signal
 
     spec.validate(epoch.sample_rate_hz)
     sos = _butter_sos(spec.order, spec.lo_hz, spec.hi_hz, epoch.sample_rate_hz)
+    # sosfiltfilt's default pad: three times the taps the sections really use
+    pad = 3 * (2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum()))
+    n = epoch.samples.shape[1]
+    if n <= pad:
+        raise InputError(f"epoch of {n} samples is too short to band-pass; need > {pad}")
     filtered = signal.sosfiltfilt(sos, epoch.samples, axis=1)
     return epoch.replace_samples(filtered)
 

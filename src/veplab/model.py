@@ -3,9 +3,12 @@
 Recording CSV: UTF-8, header ``time_s,<ch1>,<ch2>,...``, one row per sample,
 dot-decimal floats. Marker CSV: header ``time_s,label``. Floats are written
 with Python's shortest round-trip representation, so save/load round-trips
-are bit-exact. Sample times must be evenly spaced to within 1 %. A recording
-body is parsed by numpy's reader; the per-row parser runs only to name a bad
-row, and both read every file to the same bits or the same error.
+are bit-exact. The recording writer formats each distinct value of a
+4,096-row block once and reuses the text for its repeats; the bytes are those
+of formatting every cell. Sample times must be evenly spaced to within 1 %.
+A recording body is parsed by numpy's reader; the per-row parser runs only
+to name a bad row, and both read every file to the same bits or the same
+error.
 
 `json_value` is the typed-key check shared by the JSON readers (dataset
 manifest, synth config).
@@ -233,7 +236,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# rows per %-format call; bounds the text built at once (~340 kB at 4 channels)
+# rows formatted at once; bounds the text built at once (~340 kB at 4 channels)
 _BLOCK_ROWS = 4096
 
 # numpy's reader strips these characters around a number as whitespace,
@@ -243,13 +246,16 @@ _READER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 def save_recording(rec: Recording, path) -> None:
     table = np.column_stack([rec.times(), rec.samples.T])
-    # %r of a Python float is its repr, the canonical formatter of _fmt
-    row_fmt = ",".join(["%r"] * table.shape[1]) + "\n"
+    row_fmt = ",".join(["%s"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time_s," + ",".join(rec.layout.names) + "\n")
         for start in range(0, len(table), _BLOCK_ROWS):
             block = table[start : start + _BLOCK_ROWS]
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+            # keyed on bit patterns, which keep 0.0 and -0.0 apart
+            bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+            text = list(map(_fmt, bits.view(np.float64).tolist()))
+            cells = tuple([text[i] for i in inverse.ravel().tolist()])
+            fh.write((row_fmt * len(block)) % cells)
 
 
 def _parse_rows(fh, path, ncol: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from veplab import (
 )
 from veplab.dsp import _butter_sos
 from veplab.errors import InputError
+from veplab.pipeline import PARADIGM_BANDS, config_for_task
 
 FS = 500.0
 
@@ -80,16 +81,43 @@ def test_bandpass_linearity():
 
 
 def test_bandpass_cached_design_matches_fresh_design():
+    # every analysis band, a filter-bank band and a wide 6-90 Hz band, at
+    # orders 1, 2 and 4, on epochs just past sosfiltfilt's pad length and at
+    # a full trial
+    bands = [
+        *PARADIGM_BANDS.values(),
+        config_for_task(1).filter_bank(FS).bands[-1],
+        (6.0, 90.0),
+    ]
     rng = np.random.default_rng(3)
-    ep = TrialEpoch("t", 10.0, rng.normal(size=(3, 2000)), FS, 0.0)
-    for spec in (BandpassSpec(7.0, 15.0), BandpassSpec(6.0, 90.0, order=2)):
-        sos = signal.butter(
-            spec.order, [spec.lo_hz, spec.hi_hz], btype="bandpass", output="sos", fs=FS
-        )
-        expected = signal.sosfiltfilt(sos, ep.samples, axis=1)
-        for _ in range(2):  # a design and a cache hit
-            assert bandpass(ep, spec).samples.tobytes() == expected.tobytes()
+    _butter_sos.cache_clear()
+    for order in (1, 2, 4):
+        for lo, hi in bands:
+            spec = BandpassSpec(lo, hi, order=order)
+            sos = signal.butter(order, [lo, hi], btype="bandpass", output="sos", fs=FS)
+            # sosfiltfilt's default padlen, from its documented rule
+            unused = min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum())
+            pad = 3 * (2 * len(sos) + 1 - unused)
+            for n in (pad + 1, pad + 2, 2500):
+                for n_ch in (1, 5):
+                    ep = TrialEpoch("t", 10.0, rng.normal(size=(n_ch, n)) * 10, FS, 0.0)
+                    expected = signal.sosfiltfilt(sos, ep.samples, axis=1)
+                    for _ in range(2):  # a design and a cache hit
+                        got = bandpass(ep, spec).samples
+                        assert got.tobytes() == expected.tobytes(), (order, lo, hi, n, n_ch)
     assert _butter_sos.cache_info().maxsize is not None
+
+
+def test_bandpass_rejects_epoch_within_pad_length():
+    # order 4 band-pass: 4 sections, 9 taps, a 27-sample odd extension
+    spec = BandpassSpec(7.0, 17.0)
+    rng = np.random.default_rng(4)
+    short = TrialEpoch("t", 10.0, rng.normal(size=(2, 27)), FS, 0.0)
+    too_short = "epoch of 27 samples is too short to band-pass; need > 27"
+    with pytest.raises(InputError, match=too_short):
+        bandpass(short, spec)
+    ep = TrialEpoch("t", 10.0, rng.normal(size=(2, 28)), FS, 0.0)
+    assert bandpass(ep, spec).samples.shape == (2, 28)
 
 
 def test_zapline_removes_pure_line():

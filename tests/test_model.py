@@ -141,19 +141,30 @@ def test_save_matches_per_cell_repr(tmp_path):
     # lengths either side of the writer's 4096-row blocks
     special = np.array([-0.0, 5e-324, 1.7e308, 3.0, -12.0, 0.1, 1e16])
     rng = np.random.default_rng(7)
+
+    def check(samples, times, name):
+        rec = Recording(500.0, ChannelLayout(("Pz", "Oz")), samples, times_s=times)
+        expected = "time_s,Pz,Oz\n" + "".join(
+            ",".join(repr(float(v)) for v in (times[j], *samples[:, j])) + "\n"
+            for j in range(samples.shape[1])
+        )
+        p = tmp_path / f"{name}.csv"
+        save_recording(rec, p)
+        assert p.read_bytes() == expected.encode("utf-8"), name
+
     for n in (1, 4095, 4096, 4097):
         samples = rng.normal(size=(2, n)) * 10
         samples.flat[: min(samples.size, special.size)] = special[: samples.size]
         times = np.arange(n) / 500.0
         times[0] = -0.0
-        rec = Recording(500.0, ChannelLayout(("Pz", "Oz")), samples, times_s=times)
-        expected = "time_s,Pz,Oz\n" + "".join(
-            ",".join(repr(float(v)) for v in (times[j], *samples[:, j])) + "\n"
-            for j in range(n)
-        )
-        p = tmp_path / f"rec{n}.csv"
-        save_recording(rec, p)
-        assert p.read_bytes() == expected.encode("utf-8"), n
+        check(samples, times, f"rec{n}")
+    # few distinct values on a 2^-5 grid, with 0.0 and -0.0 in one column:
+    # the writer's repeats must not merge the two zeros
+    for n in (4095, 4096, 4097, 8193):
+        samples = np.round(rng.normal(size=(2, n)) * 2) / 32
+        samples[0, ::3] = 0.0
+        samples[0, 1::7] = -0.0
+        check(samples, np.arange(n) / 500.0, f"steps{n}")
 
 
 def test_markers_roundtrip_and_vocabulary(tmp_path):

@@ -573,3 +573,25 @@ def test_dataset_errors_name_the_manifest_entry(tmp_path, capsys):
     with pytest.raises(InputError, match="exceeds recording bounds") as info:
         analyze_dataset(manifest)
     assert type(info.value) is InputError
+
+
+def test_epoch_too_short_to_band_pass_is_an_input_error(tmp_path, capsys):
+    # a 1.05 s trial leaves 25 samples after the decoder's initial skip,
+    # fewer than the 27-sample pad of an order-4 band-pass
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"protocol": {
+        "n_subjects": 1,
+        "tasks": [{"paradigm": "radial_motion", "targets_hz": [8, 10],
+                   "trials_per_target": 1, "trial_s": 1.05, "rest_s": 2}],
+    }}))
+    out = tmp_path / "ds"
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    assert main(["analyze", "--dataset", str(out / "manifest.json"),
+                 "--out", str(report)]) == 2
+    err = capsys.readouterr().err
+    named = ["subject S1", "stage decode, trial 0",
+             "epoch of 25 samples is too short to band-pass; need > 27"]
+    assert all(n in err for n in named), err
+    assert not report.exists()
