@@ -6,8 +6,9 @@ Qx^T Qy, where Qx and Qy are orthonormal bases of the centered row spaces of
 the two variable sets (Bjorck & Golub 1973). The bases come from an SVD that
 drops null directions, so a rank-deficient epoch (a virtual channel that is
 the mean of two recorded ones) needs no regularisation. Filter-bank decisions
-combine per-band correlations as sum_m w(m) * rho_m^2 with w(m) = m**-a + b
-and pick the argmax target (ties break toward the lowest index).
+combine per-band correlations as sum_m w(m) * rho_m^2 with
+w(m) = m**-FB_WEIGHT_A + FB_WEIGHT_B = m**-1.25 + 0.25 (Chen et al. 2015) and
+pick the argmax target (ties break toward the lowest index).
 
 cca_corr imports scipy.linalg on its first call, not at module import, so
 stimulus generation and synthesis never load scipy.
@@ -23,6 +24,9 @@ from .dsp import BandpassSpec, bandpass
 from .errors import DegenerateDataError, InputError
 from .model import TrialEpoch
 
+FB_WEIGHT_A = 1.25
+FB_WEIGHT_B = 0.25
+
 
 @dataclass(frozen=True)
 class ReferenceSet:
@@ -31,7 +35,6 @@ class ReferenceSet:
     targets_hz: tuple[float, ...]
     fs_hz: float
     n_samples: int
-    n_harmonics: int
     matrices: tuple[np.ndarray, ...]
 
     def __len__(self) -> int:
@@ -40,11 +43,9 @@ class ReferenceSet:
 
 @dataclass(frozen=True)
 class FilterBankConfig:
-    """Sub-bands plus the weight law w(m) = m**-weight_a + weight_b."""
+    """Sub-bands weighted by w(m) = m**-FB_WEIGHT_A + FB_WEIGHT_B."""
 
     bands: tuple[tuple[float, float], ...]
-    weight_a: float = 1.25
-    weight_b: float = 0.25
 
     def __post_init__(self):
         if not self.bands:
@@ -52,12 +53,10 @@ class FilterBankConfig:
         for lo, hi in self.bands:
             if not 0 < lo < hi:
                 raise InputError(f"invalid band ({lo}, {hi})")
-        if self.weight_b < 0:
-            raise InputError("weights must stay positive")
 
     def weights(self) -> np.ndarray:
         m = np.arange(1, len(self.bands) + 1, dtype=np.float64)
-        return m**-self.weight_a + self.weight_b
+        return m**-FB_WEIGHT_A + FB_WEIGHT_B
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,6 @@ def make_references(
         targets_hz=targets,
         fs_hz=fs_hz,
         n_samples=n_samples,
-        n_harmonics=n_harmonics,
         matrices=tuple(mats),
     )
 
@@ -135,7 +133,7 @@ def cca_corr(X: np.ndarray, Y: np.ndarray) -> float:
 
 def default_filter_bank(targets_hz, ceiling_hz: float) -> FilterBankConfig:
     """Up to 5 sub-bands starting at successive multiples of the lowest target,
-    all capped at ceiling_hz, with FilterBankConfig's default weights.
+    all capped at ceiling_hz.
 
     Each corner is lowered by a 2 Hz margin so the filter's roll-off does not
     attenuate the fundamental sitting right at the nominal multiple. A band
@@ -214,7 +212,6 @@ def detect_onset(
 class AccuracyBreakdown:
     overall: float
     per_target: dict[float, float] = field(default_factory=dict)
-    n_trials: int = 0
 
 
 def evaluate_accuracy(decisions, truth_hz) -> AccuracyBreakdown:
@@ -234,6 +231,4 @@ def evaluate_accuracy(decisions, truth_hz) -> AccuracyBreakdown:
     overall = float(
         sum(sum(v) for v in hits.values()) / sum(len(v) for v in hits.values())
     )
-    return AccuracyBreakdown(
-        overall=overall, per_target=per_target, n_trials=len(truth)
-    )
+    return AccuracyBreakdown(overall=overall, per_target=per_target)

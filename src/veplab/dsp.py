@@ -1,14 +1,16 @@
 """Preprocessing chain: zero-phase band-pass, line-noise removal, artifact
 suppression.
 
-The band-pass is scipy's sosfiltfilt, one design per distinct band; an epoch
-no longer than the filter's pad length (27 samples at order 4) is rejected
-with InputError.
+The band-pass is scipy's sosfiltfilt on an order FILTER_ORDER (4)
+Butterworth design, one design per distinct band; an epoch no longer than
+the filter's pad length (27 samples at order 4) is rejected with InputError.
 
 Line noise is removed by least-squares fitting a sinusoid at the mains
-frequency in overlapping 1 s windows (raised-cosine overlap-add), and
-artifacts by windowed principal-subspace cleaning calibrated on the quietest
-10 s stretch of the recording.
+frequency in overlapping LINE_WINDOW_S (1 s) windows (raised-cosine
+overlap-add), and artifacts by principal-subspace cleaning in ASR_WINDOW_S
+(1 s) windows: a component is dropped where its variance exceeds ASR_CUTOFF
+(20) times its variance in the quietest ASR_CALIB_S (10 s) stretch of the
+recording.
 
 scipy is imported inside the functions that call it, so importing this module
 (and veplab) loads numpy only; the first filter or artifact pass loads scipy.
@@ -18,36 +20,44 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import InputError
 from .model import Recording, TrialEpoch
 
+# the same for every band, recording and task
+FILTER_ORDER = 4
+LINE_WINDOW_S = 1.0
+ASR_CUTOFF = 20.0
+ASR_WINDOW_S = 1.0
+ASR_CALIB_S = 10.0
+
 
 @dataclass(frozen=True)
 class BandpassSpec:
     lo_hz: float
     hi_hz: float
-    order: int = 4
+    order: ClassVar[int] = FILTER_ORDER
 
     def validate(self, fs_hz: float) -> None:
         if not 0 < self.lo_hz < self.hi_hz < fs_hz / 2:
             raise InputError(
                 f"band edges ({self.lo_hz}, {self.hi_hz}) invalid for fs {fs_hz} Hz"
             )
-        if self.order < 1:
-            raise InputError("filter order must be >= 1")
 
 
 @functools.lru_cache(maxsize=64)
-def _butter_sos(order: int, lo_hz: float, hi_hz: float, fs_hz: float) -> np.ndarray:
+def _butter_sos(lo_hz: float, hi_hz: float, fs_hz: float) -> np.ndarray:
     # One design per distinct band; a pipeline run uses about a dozen. The
     # array is shared by every caller and stays writable because sosfiltfilt
     # rejects a read-only one, so it must not leave this module.
     from scipy import signal
 
-    return signal.butter(order, [lo_hz, hi_hz], btype="bandpass", output="sos", fs=fs_hz)
+    return signal.butter(
+        FILTER_ORDER, [lo_hz, hi_hz], btype="bandpass", output="sos", fs=fs_hz
+    )
 
 
 def bandpass(epoch: TrialEpoch, spec: BandpassSpec) -> TrialEpoch:
@@ -58,7 +68,7 @@ def bandpass(epoch: TrialEpoch, spec: BandpassSpec) -> TrialEpoch:
     from scipy import signal
 
     spec.validate(epoch.sample_rate_hz)
-    sos = _butter_sos(spec.order, spec.lo_hz, spec.hi_hz, epoch.sample_rate_hz)
+    sos = _butter_sos(spec.lo_hz, spec.hi_hz, epoch.sample_rate_hz)
     # sosfiltfilt's default pad: three times the taps the sections really use
     pad = 3 * (2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum()))
     n = epoch.samples.shape[1]
@@ -94,14 +104,12 @@ def _fit_tone(seg: np.ndarray, fs_hz: float, f_line: float) -> np.ndarray:
     return (seg @ basis) @ basis.T
 
 
-def remove_line_noise(
-    epoch: TrialEpoch, f_line: float = 50.0, window_s: float = 1.0
-) -> TrialEpoch:
+def remove_line_noise(epoch: TrialEpoch, f_line: float) -> TrialEpoch:
     """Subtract the locally fitted mains tone in overlapping windows.
 
-    Windows are window_s long with 50% overlap; the per-window estimates are
-    blended by raised-cosine overlap-add so the subtraction tracks slow
-    amplitude or phase drift of the interference. Every full window starts
+    Windows are LINE_WINDOW_S long with 50% overlap; the per-window
+    estimates are blended by raised-cosine overlap-add so the subtraction
+    tracks slow amplitude or phase drift of the interference. Every full window starts
     its time axis at 0, so all of them are fitted by one batched projection.
     """
     fs = epoch.sample_rate_hz
@@ -109,7 +117,7 @@ def remove_line_noise(
         raise InputError(f"line frequency {f_line} Hz is above Nyquist for fs {fs}")
     x = epoch.samples
     n = x.shape[1]
-    win_len = round(window_s * fs)
+    win_len = round(LINE_WINDOW_S * fs)
     if n <= win_len:
         return epoch.replace_samples(x - _fit_tone(x, fs, f_line))
     if win_len < 16:
@@ -137,33 +145,26 @@ def remove_line_noise(
     return epoch.replace_samples(x - tone / weight[None, :])
 
 
-def suppress_artifacts(
-    rec: Recording,
-    cutoff: float = 20.0,
-    window_s: float = 1.0,
-    calib_s: float = 10.0,
-) -> Recording:
-    """Remove high-variance principal components in 1 s windows.
+def suppress_artifacts(rec: Recording) -> Recording:
+    """Remove high-variance principal components in ASR_WINDOW_S windows.
 
-    Calibration statistics come from the lowest-RMS contiguous calib_s
+    Calibration statistics come from the lowest-RMS contiguous ASR_CALIB_S
     stretch. In each window, any calibration principal component whose
-    variance exceeds cutoff times its calibration variance is dropped and
+    variance exceeds ASR_CUTOFF times its calibration variance is dropped and
     the window is rebuilt from the remaining components. Windows with no
     flagged component are passed through untouched.
     """
     fs = rec.sample_rate_hz
     x = rec.samples
     n = x.shape[1]
-    n_calib = round(calib_s * fs)
+    n_calib = round(ASR_CALIB_S * fs)
     if n < n_calib:
         raise InputError(
-            f"recording of {n / fs:.2f} s is shorter than the {calib_s} s "
+            f"recording of {n / fs:.2f} s is shorter than the {ASR_CALIB_S} s "
             "calibration window"
         )
-    if cutoff <= 0:
-        raise InputError("cutoff must be > 0")
 
-    # quietest calib_s stretch by total energy, searched on 1 s hops
+    # quietest calibration stretch by total energy, searched on 1 s hops
     energy = np.sum(x**2, axis=0)
     csum = np.concatenate([[0.0], np.cumsum(energy)])
     hop = max(1, round(fs))
@@ -183,7 +184,7 @@ def suppress_artifacts(
     lam, vecs = eigh(cov)
     lam = np.maximum(lam, 1e-12 * np.trace(cov))
 
-    win_len = round(window_s * fs)
+    win_len = round(ASR_WINDOW_S * fs)
     out = np.array(x)
     changed = False
     start = 0
@@ -192,7 +193,7 @@ def suppress_artifacts(
         seg = x[:, start:stop] - mu
         scores = vecs.T @ seg
         var = np.mean(scores**2, axis=1)
-        bad = var > cutoff * lam
+        bad = var > ASR_CUTOFF * lam
         if np.any(bad):
             scores[bad] = 0.0
             out[:, start:stop] = vecs @ scores + mu

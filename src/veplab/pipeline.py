@@ -50,10 +50,7 @@ PARADIGM_BANDS = {
 }
 
 # the analysis is the same for every task and subject
-ASR_CUTOFF = 20.0
 SKIP_INITIAL_S = 1.0
-SNR_NEIGHBORS = 3
-SNR_SKIP = 1
 N_HARMONICS = 3
 # null rho for 4 s band-limited epochs reaches ~0.4; evoked trials at the
 # default synth amplitudes sit near 0.99
@@ -180,10 +177,11 @@ def _staged(stage: str, trial: int | None, fn, *args, **kwargs):
 
 
 def _preprocess(epoch: TrialEpoch, cfg: PipelineConfig, trial: int) -> TrialEpoch:
-    """Narrow-band chain feeding the PSD/SNR analysis (and onset detection)."""
+    """Narrow-band chain feeding the PSD/SNR analysis (and onset detection):
+    the band-passed, line-cleaned epoch after the onset skip."""
     epoch = _staged("bandpass", trial, bandpass, epoch, cfg.band)
     epoch = _staged("line-removal", trial, remove_line_noise, epoch, cfg.line_freq_hz)
-    return epoch
+    return _post_skip(epoch)
 
 
 def _post_skip(epoch: TrialEpoch) -> TrialEpoch:
@@ -218,7 +216,7 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
     rec, channel = _analysis_channel(rec)
     # Artifact suppression runs on the continuous recording: its calibration
     # needs >= 10 s of data, which no single trial epoch can provide.
-    rec = _staged("artifact-suppression", None, suppress_artifacts, rec, ASR_CUTOFF)
+    rec = _staged("artifact-suppression", None, suppress_artifacts, rec)
     window = (0.0, cfg.trial_s)
     epochs = _staged("epoching", None, extract_epochs, rec, markers, window)
     ch_idx = rec.layout.index(channel)
@@ -239,16 +237,15 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
     refs = make_references(cfg.targets_hz, n_harm, fs, n_segment)
     bank = cfg.filter_bank(fs)
 
-    def onset_decision(narrow: TrialEpoch, trial: int) -> Decision:
-        # single-target on/off call runs on the band-passed epoch
-        segment = _post_skip(narrow)
+    def onset_decision(segment: TrialEpoch, trial: int) -> Decision:
+        # single-target on/off call runs on the band-passed segment
         return _staged("decode", trial, detect_onset, segment, refs, ONSET_THRESHOLD)
 
     trials = []
     for i, epoch in enumerate(epochs):
         narrow = _preprocess(epoch, cfg, i)
-        psd = _staged("psd", i, psd_boxcar, narrow, SKIP_INITIAL_S)
-        snr = _staged("snr", i, snr_spectrum, psd, SNR_NEIGHBORS, SNR_SKIP)
+        psd = _staged("psd", i, psd_boxcar, narrow)
+        snr = _staged("snr", i, snr_spectrum, psd)
         readout = _staged("snr", i, snr_at, snr, epoch.target_freq_hz)
         if cfg.onset_mode:
             decision = onset_decision(narrow, i)

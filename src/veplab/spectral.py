@@ -1,10 +1,10 @@
 """Single-window boxcar PSD and the local-ratio SNR spectrum.
 
-The PSD is one untapered FFT of the whole post-onset segment (the trial's
-first skip_initial_s seconds are dropped to avoid the transient), normalized
-so that sum(power) * resolution equals the segment variance. SNR at a bin is
-its power over the mean power of n_neighbor bins on each side, skipping
-n_skip guard bins next to it; edges without a full neighborhood are NaN.
+The PSD is one untapered FFT of the whole segment it is given (the pipeline
+passes the trial after its onset transient), normalized so that
+sum(power) * resolution equals the segment variance. SNR at a bin is its
+power over the mean power of SNR_NEIGHBORS (3) bins on each side, skipping
+SNR_SKIP (1) guard bin next to it; edges without a full neighborhood are NaN.
 """
 
 from __future__ import annotations
@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import InputError
 from .model import TrialEpoch
+
+SNR_NEIGHBORS = 3
+SNR_SKIP = 1
 
 
 @dataclass(frozen=True)
@@ -34,11 +37,6 @@ class SnrSpectrum:
     freqs_hz: np.ndarray
     snr_db: np.ndarray  # channels x bins, NaN where the neighborhood is undefined
     snr_linear: np.ndarray
-    n_neighbor: int
-    n_skip: int
-
-    def defined(self) -> np.ndarray:
-        return np.isfinite(self.snr_db).all(axis=0)
 
 
 class SnrReadout(NamedTuple):
@@ -47,20 +45,13 @@ class SnrReadout(NamedTuple):
     snr_linear: np.ndarray
 
 
-def psd_boxcar(epoch: TrialEpoch, skip_initial_s: float = 1.0) -> PowerSpectrum:
-    """One-segment boxcar periodogram of the epoch after the onset skip."""
-    if skip_initial_s < 0:
-        raise InputError("skip_initial_s must be >= 0")
+def psd_boxcar(epoch: TrialEpoch) -> PowerSpectrum:
+    """One-segment boxcar periodogram of the whole epoch."""
     fs = epoch.sample_rate_hz
-    k0 = round(skip_initial_s * fs)
-    if k0 >= epoch.n_samples:
-        raise InputError(
-            f"skip of {skip_initial_s} s leaves no samples from a "
-            f"{epoch.duration_s} s epoch"
-        )
-    seg = epoch.samples[:, k0:]
-    n = seg.shape[1]
-    seg = seg - seg.mean(axis=1, keepdims=True)
+    n = epoch.n_samples
+    if n == 0:
+        raise InputError("cannot take the spectrum of an empty epoch")
+    seg = epoch.samples - epoch.samples.mean(axis=1, keepdims=True)
     spec = np.fft.rfft(seg, axis=1)
     power = np.abs(spec) ** 2 / (fs * n)
     scale = np.full(power.shape[1], 2.0)
@@ -75,39 +66,27 @@ def psd_boxcar(epoch: TrialEpoch, skip_initial_s: float = 1.0) -> PowerSpectrum:
     )
 
 
-def snr_spectrum(
-    psd: PowerSpectrum, n_neighbor: int = 3, n_skip: int = 1
-) -> SnrSpectrum:
+def snr_spectrum(psd: PowerSpectrum) -> SnrSpectrum:
     """Per-bin power over the mean of nearby bins, with guard bins skipped."""
-    if n_neighbor < 1:
-        raise InputError("n_neighbor must be >= 1")
-    if n_skip < 0:
-        raise InputError("n_skip must be >= 0")
-    reach = n_skip + n_neighbor
+    reach = SNR_SKIP + SNR_NEIGHBORS
     n_bins = psd.n_bins
     if n_bins < 2 * reach + 1:
         raise InputError(
             f"spectrum has {n_bins} bins; need at least {2 * reach + 1} for "
-            f"n_neighbor={n_neighbor}, n_skip={n_skip}"
+            f"{SNR_NEIGHBORS} neighbor bins and {SNR_SKIP} guard bin a side"
         )
     p = psd.power
     neigh = np.zeros_like(p)
-    for off in range(n_skip + 1, reach + 1):
+    for off in range(SNR_SKIP + 1, reach + 1):
         neigh[:, reach:-reach] += p[:, reach - off : n_bins - reach - off]
         neigh[:, reach:-reach] += p[:, reach + off : n_bins - reach + off]
-    neigh /= 2 * n_neighbor
+    neigh /= 2 * SNR_NEIGHBORS
     with np.errstate(divide="ignore", invalid="ignore"):
         linear = np.where(neigh > 0, p / np.where(neigh > 0, neigh, 1.0), np.inf)
         linear[:, :reach] = np.nan
         linear[:, n_bins - reach :] = np.nan
         db = 10.0 * np.log10(linear)
-    return SnrSpectrum(
-        freqs_hz=psd.freqs_hz,
-        snr_db=db,
-        snr_linear=linear,
-        n_neighbor=n_neighbor,
-        n_skip=n_skip,
-    )
+    return SnrSpectrum(freqs_hz=psd.freqs_hz, snr_db=db, snr_linear=linear)
 
 
 def snr_at(s: SnrSpectrum, f: float) -> SnrReadout:

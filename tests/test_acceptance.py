@@ -70,10 +70,11 @@ def test_criterion_2_spectral_fidelity_72hz():
     margins = []
     for trial in range(20):
         ep = synth_trial(cfg, 72.0, 5.0, FS, seed_key=(trial,))
-        psd = psd_boxcar(ep, skip_initial_s=1.0)
+        # the pipeline's 1 s onset skip
+        psd = psd_boxcar(ep.replace_samples(ep.samples[:, round(FS) :]))
         ok &= psd.resolution_hz == 0.25
         ok &= psd.freqs_hz[288] == 72.0
-        snr = snr_spectrum(psd, n_neighbor=3, n_skip=1)
+        snr = snr_spectrum(psd)
         for ch in range(snr.snr_db.shape[0]):
             db = snr.snr_db[ch]
             ok &= int(np.nanargmax(db)) == 288
@@ -88,7 +89,7 @@ def test_criterion_3_snr_null_calibration():
     means = []
     for _ in range(100):
         x = rng.normal(size=(1, 2500))
-        psd = psd_boxcar(TrialEpoch("null", 10.0, x, FS, 0.0), 1.0)
+        psd = psd_boxcar(TrialEpoch("null", 10.0, x[:, round(FS) :], FS, 0.0))
         snr = snr_spectrum(psd)
         means.append(float(np.nanmean(snr.snr_linear[0])))
     grand_db = 10 * math.log10(float(np.mean(means)))

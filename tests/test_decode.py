@@ -139,16 +139,16 @@ def make_epoch(target, amp=3.0, seed=0, duration=4.0):
 def test_fbcca_single_band_matches_plain_cca_ranking():
     epoch = make_epoch(12.0)
     refs = make_references([8.0, 12.0, 16.0], 3, FS, epoch.n_samples)
-    bank = FilterBankConfig(((7.0, 17.0),), weight_a=0.0, weight_b=0.0)
-    # w(1) = 1 for a=0, b=0
-    np.testing.assert_allclose(bank.weights(), [1.0])
+    bank = FilterBankConfig(((7.0, 17.0),))
+    # w(1) = 1**-1.25 + 0.25
+    np.testing.assert_allclose(bank.weights(), [1.25])
     decision = fbcca_decide(epoch, refs, bank)
     from veplab.dsp import BandpassSpec, bandpass
 
     banded = bandpass(epoch, BandpassSpec(7.0, 17.0))
     plain = [cca_corr(banded.samples, m) for m in refs.matrices]
     assert decision.predicted == int(np.argmax(plain))
-    np.testing.assert_allclose(decision.rho, np.array(plain) ** 2, atol=1e-12)
+    np.testing.assert_allclose(decision.rho, 1.25 * np.array(plain) ** 2, atol=1e-12)
 
 
 def test_fbcca_decodes_clean_trial():
@@ -159,7 +159,7 @@ def test_fbcca_decodes_clean_trial():
 
 
 def test_fbcca_weights_formula():
-    bank = FilterBankConfig(((8.0, 30.0), (16.0, 30.0)), weight_a=1.25, weight_b=0.25)
+    bank = FilterBankConfig(((8.0, 30.0), (16.0, 30.0)))
     w = bank.weights()
     assert abs(w[0] - 1.25) <= 1e-12
     assert abs(w[1] - 0.6704482076268572) <= 1e-12

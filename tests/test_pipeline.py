@@ -8,8 +8,11 @@ from veplab import (
     SynthConfig,
     SynthProtocol,
     TaskProtocol,
+    decode,
     default_protocol,
+    dsp,
     pipeline,
+    spectral,
     synth_dataset,
 )
 from veplab.cli import main
@@ -54,7 +57,9 @@ def test_config_for_task_defaults():
     assert cfg.targets_hz == (7.2, 9.0, 14.0)
     assert (cfg.band.lo_hz, cfg.band.hi_hz) == (7.0, 15.0)
     assert pipeline.SKIP_INITIAL_S == 1.0
-    assert pipeline.SNR_NEIGHBORS == 3 and pipeline.SNR_SKIP == 1
+    assert spectral.SNR_NEIGHBORS == 3 and spectral.SNR_SKIP == 1
+    assert dsp.ASR_CUTOFF == 20.0 and dsp.FILTER_ORDER == 4
+    assert (decode.FB_WEIGHT_A, decode.FB_WEIGHT_B) == (1.25, 0.25)
     assert config_for_task(3).targets_hz == (72.0,)
     for task in (0, 9):
         with pytest.raises(InputError):

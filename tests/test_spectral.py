@@ -4,6 +4,7 @@ import pytest
 from veplab import TrialEpoch, psd_boxcar, snr_at, snr_spectrum
 from veplab.spectral import PowerSpectrum
 from veplab.errors import InputError
+from veplab.pipeline import SKIP_INITIAL_S
 
 FS = 500.0
 
@@ -12,9 +13,13 @@ def epoch_from(x):
     return TrialEpoch("t", 10.0, np.atleast_2d(x), FS, 0.0)
 
 
+def post_skip(x):
+    """Epoch of x after the pipeline's 1 s onset skip."""
+    return epoch_from(np.atleast_2d(x)[:, round(SKIP_INITIAL_S * FS) :])
+
+
 def test_resolution_and_bin_index():
-    ep = epoch_from(np.zeros(2500) + np.sin(np.arange(2500)))
-    psd = psd_boxcar(ep, skip_initial_s=1.0)
+    psd = psd_boxcar(post_skip(np.zeros(2500) + np.sin(np.arange(2500))))
     assert psd.resolution_hz == 0.25
     assert psd.freqs_hz[288] == 72.0
     assert psd.n_bins == 1001
@@ -22,7 +27,7 @@ def test_resolution_and_bin_index():
 
 def test_pure_tone_dominant_bin():
     t = np.arange(2500) / FS
-    psd = psd_boxcar(epoch_from(np.sin(2 * np.pi * 10.0 * t)), 1.0)
+    psd = psd_boxcar(post_skip(np.sin(2 * np.pi * 10.0 * t)))
     p = psd.power[0]
     bin10 = round(10.0 / psd.resolution_hz)
     assert np.argmax(p) == bin10
@@ -32,7 +37,7 @@ def test_pure_tone_dominant_bin():
 def test_parseval_matches_variance():
     rng = np.random.default_rng(0)
     x = rng.normal(size=2500)
-    psd = psd_boxcar(epoch_from(x), 1.0)
+    psd = psd_boxcar(post_skip(x))
     seg = x[500:]
     var = np.mean((seg - seg.mean()) ** 2)
     total = psd.power[0].sum() * psd.resolution_hz
@@ -40,15 +45,15 @@ def test_parseval_matches_variance():
 
 
 def test_skip_guard():
-    ep = epoch_from(np.ones(400))
-    with pytest.raises(InputError):
-        psd_boxcar(ep, skip_initial_s=1.0)  # 0.8 s epoch, 1 s skip
+    # a 1 s skip leaves an empty epoch of a 0.8 s one
+    with pytest.raises(InputError, match="empty epoch"):
+        psd_boxcar(post_skip(np.ones(400)))
 
 
 def test_snr_flat_spectrum_zero_db():
     freqs = np.arange(0, 100) * 0.25
     psd = PowerSpectrum(freqs_hz=freqs, power=np.full((2, 100), 3.7), resolution_hz=0.25)
-    snr = snr_spectrum(psd, n_neighbor=3, n_skip=1)
+    snr = snr_spectrum(psd)
     defined = np.isfinite(snr.snr_db[0])
     assert defined.sum() == 100 - 2 * 4
     np.testing.assert_allclose(snr.snr_db[:, defined], 0.0, atol=1e-12)
@@ -59,7 +64,7 @@ def test_snr_forced_arithmetic():
     power = np.full((1, 21), 2.0)
     power[0, 10] = 8.0
     psd = PowerSpectrum(np.arange(21) * 1.0, power, 1.0)
-    snr = snr_spectrum(psd, n_neighbor=3, n_skip=1)
+    snr = snr_spectrum(psd)
     assert abs(snr.snr_db[0, 10] - 10 * np.log10(4.0)) <= 1e-12
     assert abs(snr.snr_linear[0, 10] - 4.0) <= 1e-12
 
@@ -69,7 +74,7 @@ def test_snr_guard_bin_excluded():
     power = np.full((1, 21), 2.0)
     power[0, 11] = 1e6
     psd = PowerSpectrum(np.arange(21) * 1.0, power, 1.0)
-    snr = snr_spectrum(psd, n_neighbor=3, n_skip=1)
+    snr = snr_spectrum(psd)
     assert abs(snr.snr_db[0, 10]) <= 1e-12
 
 
@@ -81,7 +86,7 @@ def test_snr_white_noise_mean_near_zero_db():
     means = []
     for _ in range(100):
         x = rng.normal(size=2500)
-        psd = psd_boxcar(epoch_from(x), 1.0)
+        psd = psd_boxcar(post_skip(x))
         snr = snr_spectrum(psd)
         means.append(np.nanmean(snr.snr_linear[0]))
     grand_db = 10 * np.log10(np.mean(means))
@@ -91,7 +96,7 @@ def test_snr_white_noise_mean_near_zero_db():
 def test_snr_scale_invariance():
     rng = np.random.default_rng(1)
     x = rng.normal(size=2500)
-    psd = psd_boxcar(epoch_from(x), 1.0)
+    psd = psd_boxcar(post_skip(x))
     snr1 = snr_spectrum(psd)
     scaled = PowerSpectrum(psd.freqs_hz, psd.power * 137.5, psd.resolution_hz)
     snr2 = snr_spectrum(scaled)
@@ -101,16 +106,13 @@ def test_snr_scale_invariance():
 
 def test_snr_edges_are_nan_not_zero():
     rng = np.random.default_rng(2)
-    psd = psd_boxcar(epoch_from(rng.normal(size=2500)), 1.0)
-    snr = snr_spectrum(psd, n_neighbor=3, n_skip=1)
+    psd = psd_boxcar(post_skip(rng.normal(size=2500)))
+    snr = snr_spectrum(psd)
     assert np.all(np.isnan(snr.snr_db[:, :4]))
     assert np.all(np.isnan(snr.snr_db[:, -4:]))
 
 
 def test_snr_validates_params():
-    psd = PowerSpectrum(np.arange(21) * 1.0, np.ones((1, 21)), 1.0)
-    with pytest.raises(InputError):
-        snr_spectrum(psd, n_neighbor=0)
     small = PowerSpectrum(np.arange(5) * 1.0, np.ones((1, 5)), 1.0)
     with pytest.raises(InputError):
         snr_spectrum(small)
@@ -119,9 +121,9 @@ def test_snr_validates_params():
 def test_concatenated_epochs_change_resolution_not_dominance():
     t = np.arange(2500) / FS
     x = np.sin(2 * np.pi * 10.0 * t)
-    single = psd_boxcar(epoch_from(x), 1.0)
+    single = psd_boxcar(post_skip(x))
     t2 = np.arange(5000) / FS
-    double = psd_boxcar(epoch_from(np.sin(2 * np.pi * 10.0 * t2)), 1.0)
+    double = psd_boxcar(post_skip(np.sin(2 * np.pi * 10.0 * t2)))
     assert double.resolution_hz < single.resolution_hz
     for psd in (single, double):
         peak = psd.freqs_hz[np.argmax(psd.power[0])]
@@ -144,7 +146,7 @@ def test_snr_at_nearest_and_ties():
 def test_snr_at_72_on_quarter_hz_grid():
     t = np.arange(2500) / FS
     x = 4.0 * np.sin(2 * np.pi * 72.0 * t) + np.random.default_rng(3).normal(size=2500)
-    psd = psd_boxcar(epoch_from(x), 1.0)
+    psd = psd_boxcar(post_skip(x))
     snr = snr_spectrum(psd)
     out = snr_at(snr, 72.0)
     assert out.bin_freq_hz == 72.0

@@ -34,7 +34,7 @@ def quiet_config(**kw):
 def test_pure_tones_only_at_harmonics():
     cfg = quiet_config(n_harmonics=3, harmonic_decay=0.5)
     ep = synth_trial(cfg, 10.0, 4.0, 500.0)
-    psd = psd_boxcar(ep, 0.0)
+    psd = psd_boxcar(ep)
     harmonic_bins = {round(h * 10.0 / psd.resolution_hz) for h in (1, 2, 3)}
     power = psd.power[0]
     on = sum(power[b] for b in harmonic_bins)
