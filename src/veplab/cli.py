@@ -16,9 +16,11 @@ from .decode import Decision
 from .errors import DegenerateDataError, InputError
 from .model import json_value
 from .pipeline import (
+    PipelineConfig,
     Report,
     analyze_dataset,
     analyze_recording,
+    checked_line_freq,
     config_for_task,
     emit_report,
     result_report,
@@ -158,14 +160,23 @@ def _write_decisions_csv(trials, offsets, path) -> None:
 def _cmd_analyze(args) -> int:
     fmt = args.format
     if args.dataset:
+        if args.line_freq is not None:
+            raise InputError(
+                "--line-freq applies to --recording only: a dataset's manifest "
+                "records its mains frequency"
+            )
         report = analyze_dataset(args.dataset)
     else:
         if not (args.recording and args.markers and args.task):
             raise InputError(
                 "analyze needs either --dataset or --recording/--markers/--task"
             )
+        line_freq_hz = PipelineConfig.line_freq_hz
+        if args.line_freq is not None:
+            line_freq_hz = checked_line_freq(args.line_freq, "--line-freq")
         cfg = config_for_task(
-            args.task, recording_path=args.recording, markers_path=args.markers
+            args.task, recording_path=args.recording, markers_path=args.markers,
+            line_freq_hz=line_freq_hz,
         )
         result = analyze_recording(cfg)
         if args.decisions:
@@ -258,6 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report path")
     p.add_argument("--format", choices=("json", "markdown"), default="json")
     p.add_argument("--decisions", help="also write per-trial decisions CSV here")
+    p.add_argument(
+        "--line-freq", type=float,
+        help="mains frequency removed from a --recording, Hz (default 50)",
+    )
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("stats", help="statistical battery over report files")

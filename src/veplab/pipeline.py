@@ -97,11 +97,23 @@ def _paradigm_config(task: int, paradigm: str, targets_hz, **fields) -> Pipeline
     )
 
 
+def checked_line_freq(value, where: str) -> float:
+    """A mains frequency as a float once it is a finite number > 0; errors
+    name where."""
+    # bounded by the largest float: a JSON integer past it compares below inf
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, float)) and 0 < value <= sys.float_info.max
+    ):
+        raise InputError(f"{where} must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
 def config_for_task(
-    task: int, recording_path: str = "", markers_path: str = "", subject: str = ""
+    task: int, recording_path: str = "", markers_path: str = "", subject: str = "",
+    line_freq_hz: float = PipelineConfig.line_freq_hz,
 ) -> PipelineConfig:
     """Task `task` (numbered from 1) of `default_protocol()`: its paradigm,
-    targets and trial length."""
+    targets and trial length, with line_freq_hz as the mains frequency."""
     tasks = default_protocol().tasks
     if not 1 <= task <= len(tasks):
         raise InputError(f"task must be one of 1..{len(tasks)}, got {task}")
@@ -109,6 +121,7 @@ def config_for_task(
     return _paradigm_config(
         task, t.paradigm, t.targets_hz, trial_s=t.trial_s,
         recording_path=recording_path, markers_path=markers_path, subject=subject,
+        line_freq_hz=line_freq_hz,
     )
 
 
@@ -423,16 +436,10 @@ def _manifest_entries(manifest_path: str) -> list[tuple[PipelineConfig, float | 
         raise InputError(f"{manifest_path}: top level must be a JSON object")
     # the mains frequency synth wrote into the data; 50 Hz when not recorded
     config = json_value(manifest, "config", dict, manifest_path, required=False) or {}
-    line_freq_hz = config.get("line_freq_hz", PipelineConfig.line_freq_hz)
-    # bounded by the largest float: a JSON integer past it compares below inf
-    if isinstance(line_freq_hz, bool) or not (
-        isinstance(line_freq_hz, (int, float))
-        and 0 < line_freq_hz <= sys.float_info.max
-    ):
-        raise InputError(
-            f"{manifest_path}: config.line_freq_hz must be a finite number > 0, "
-            f"got {line_freq_hz!r}"
-        )
+    line_freq_hz = checked_line_freq(
+        config.get("line_freq_hz", PipelineConfig.line_freq_hz),
+        f"{manifest_path}: config.line_freq_hz",
+    )
     entries: list[tuple[PipelineConfig, float | None]] = []
     for subj in json_value(manifest, "subjects", list, manifest_path, item=dict):
         sid = json_value(subj, "id", str, f"{manifest_path}: subject")
@@ -463,7 +470,7 @@ def _manifest_entries(manifest_path: str) -> list[tuple[PipelineConfig, float | 
                 recording_path=paths["recording"],
                 markers_path=paths["markers"],
                 subject=sid,
-                line_freq_hz=float(line_freq_hz),
+                line_freq_hz=line_freq_hz,
                 trial_s=PipelineConfig.trial_s if trial_s is None else float(trial_s),
             )
             fatigue = None

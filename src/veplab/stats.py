@@ -127,10 +127,14 @@ def paired_t(a, b) -> PairedTResult:
 
 def score_vasf(items, baseline: VasfScore | None = None) -> VasfScore:
     """Average the 13 fatigue and 5 energy (ENERGY_ITEMS) items; optionally
-    baseline-correct."""
+    baseline-correct. Each item must lie on the 0-10 scale."""
     vals = [float(v) for v in items]
     if len(vals) != 18:
         raise InputError(f"VAS-F has 18 items, got {len(vals)}")
+    for i, v in enumerate(vals):
+        # written so that a NaN fails it
+        if not 0.0 <= v <= 10.0:
+            raise InputError(f"VAS-F item {i + 1} is {v!r}, outside the scale's [0, 10]")
     fatigue = float(np.mean([v for i, v in enumerate(vals) if i not in ENERGY_ITEMS]))
     energy = float(np.mean([vals[i] for i in ENERGY_ITEMS]))
     if baseline is None:

@@ -140,26 +140,45 @@ class FrameSchedule:
 
 @dataclass(frozen=True)
 class LuminanceImage:
-    """Grayscale image with values in [-1, 1]."""
+    """Grayscale image with values in [-1, 1].
 
-    values: np.ndarray
+    LuminanceImage(values) holds a 2-D image. LuminanceImage(levels, index)
+    is a palette image, levels[index]: a 1-D table of levels and a 2-D
+    integer array of positions in it, each in [0, len(levels)). values is
+    the 2-D image in either form.
+    """
+
+    levels: np.ndarray
+    index: np.ndarray | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise InputError("image values must be 2-D")
+        v = np.asarray(self.levels, dtype=np.float64)
+        if self.index is None:
+            if v.ndim != 2:
+                raise InputError("image values must be 2-D")
+        else:
+            index = np.asarray(self.index)
+            if index.ndim != 2 or index.dtype.kind not in "iu":
+                raise InputError("a palette index must be a 2-D integer array")
+            if v.ndim != 1:
+                raise InputError("palette levels must be 1-D")
+            object.__setattr__(self, "index", index)
         # written so that a NaN, which min() and max() propagate, fails it
         if v.size and not (v.min() >= -1.0 - 1e-12 and v.max() <= 1.0 + 1e-12):
             raise InputError("luminance values must lie in [-1, 1]")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "levels", v)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.levels if self.index is None else self.levels[self.index]
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return (self.levels if self.index is None else self.index).shape[1]
 
     @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return (self.levels if self.index is None else self.index).shape[0]
 
 
 def radial_phase(t, f_c: float):
@@ -282,16 +301,17 @@ def render_checkerboard(geom: CheckerGeometry, phase: float) -> LuminanceImage:
                            * sin(angular_cycles*theta));
     the fixation disk is white (+1) and everything beyond the outer radius
     is mean gray (0). Per frame, sin(2*pi*k*r/R + phase) is evaluated once
-    per distinct pixel radius and gathered onto the grid through the index
-    _checker_grid builds once per CheckerGeometry. The values equal the
-    formula's, since sign(a*b) = sign(a)*sign(b) for these sines, whose
-    products are never subnormal.
+    per distinct pixel radius, and the frame is the palette image of the
+    2n + 2 levels [ring, -ring, 0, 1] through the read-only index
+    _checker_grid builds once per CheckerGeometry; no float frame is built.
+    The values equal the formula's, since sign(a*b) = sign(a)*sign(b) for
+    these sines, whose products are never subnormal.
     """
     if not -1e-12 <= phase <= np.pi + 1e-12:
         raise InputError(f"phase must be in [0, pi], got {phase}")
     distinct, index = _checker_grid(geom)
     ring = np.sign(np.sin(distinct + phase))
-    return LuminanceImage(np.concatenate([ring, -ring, [0.0, 1.0]])[index])
+    return LuminanceImage(np.concatenate([ring, -ring, [0.0, 1.0]]), index)
 
 
 def render_gabor(params: GaborParams, mask_scale: float = 1.0) -> LuminanceImage:
@@ -320,28 +340,21 @@ def render_frame(spec: StimulusSpec, state) -> LuminanceImage:
     return render_gabor(geometry, float(state))
 
 
-# rows encoded at a time by write_pgm: a 513-pixel float64 block is 128 kB
-_PGM_BLOCK_ROWS = 32
-
-
 def write_pgm(image: LuminanceImage, path) -> None:
     """Write a binary PGM (P5), mapping [-1, 1] to [0, 255].
 
-    Each pixel becomes rint(clip((v + 1) * 255/2, 0, 255)) as uint8. The
-    encoding runs in place over blocks of rows into one preallocated uint8
-    frame, so no frame-sized float64 temporary is made.
+    Each level becomes rint(clip((v + 1) * 255/2, 0, 255)) as uint8, once
+    per level; a palette image then gathers the bytes through its index.
+    Every pixel goes through the same arithmetic either way, so the bytes
+    equal a per-pixel encoding of values.
     """
-    values = image.values
-    data = np.empty(values.shape, dtype=np.uint8)
-    block = np.empty((min(_PGM_BLOCK_ROWS, image.height), image.width))
-    for start in range(0, image.height, _PGM_BLOCK_ROWS):
-        rows = values[start : start + _PGM_BLOCK_ROWS]
-        v = block[: len(rows)]
-        np.add(rows, 1.0, out=v)
-        v *= 255.0 / 2.0
-        np.clip(v, 0, 255, out=v)
-        np.rint(v, out=v)
-        data[start : start + len(rows)] = v
+    v = image.levels + 1.0
+    v *= 255.0 / 2.0
+    np.clip(v, 0, 255, out=v)
+    np.rint(v, out=v)
+    data = v.astype(np.uint8)
+    if image.index is not None:
+        data = data[image.index]
     with open(path, "wb") as fh:
         fh.write(f"P5\n{image.width} {image.height}\n255\n".encode("ascii"))
         fh.write(data)

@@ -264,32 +264,64 @@ def _slots(node, found):
     return found
 
 
-@st.composite
-def manifests(draw, base):
-    """The real manifest with a few values replaced or deleted."""
+# the small dataset's files, as its manifest names them
+DATASET_FILES = [f"sub01_task{t}_{kind}.csv" for t in (1, 2) for kind in ("recording", "markers")]
+# up to three (slot, delete, value) edits: slot picks, modulo their number, one
+# (container, key) pair of the manifest as the earlier edits left it
+manifest_edits = st.lists(
+    st.tuples(
+        st.integers(0, 10**4),
+        st.booleans(),
+        st.one_of(
+            json_values,
+            st.sampled_from([0, -1, 1.7e308, "", ".", "missing.csv", [], {}, *DATASET_FILES]),
+        ),
+    ),
+    max_size=3,
+)
+# two task-1 VAS-F items whose sum overflows a float: fatigue came out inf and
+# the report writer raised a bare ValueError (exit 1)
+OVERFLOWING_VASF = {
+    "subjects": [
+        {
+            "id": "S1",
+            "vasf_baseline_items": [5.0] * 18,
+            "tasks": [
+                {
+                    "task": 1,
+                    "paradigm": "radial_motion",
+                    "targets": [8.0],
+                    "recording": DATASET_FILES[0],
+                    "markers": DATASET_FILES[1],
+                    "vasf_items": [1.7e308, 1.7e308] + [5.0] * 16,
+                }
+            ],
+        }
+    ]
+}
+
+
+def _edited(base, edits):
     manifest = copy.deepcopy(base)
-    files = [t[k] for t in base["subjects"][0]["tasks"] for k in ("recording", "markers")]
-    values = st.one_of(
-        json_values,
-        st.sampled_from([0, -1, 1.7e308, "", ".", "missing.csv", [], {}, *files]),
-    )
-    for _ in range(draw(st.integers(0, 3))):
+    for slot, delete, value in edits:
         slots = _slots(manifest, [])
         if not slots:
             break
-        node, key = draw(st.sampled_from(slots))
-        if isinstance(node, dict) and draw(st.booleans()):
+        node, key = slots[slot % len(slots)]
+        if isinstance(node, dict) and delete:
             del node[key]
         else:
-            node[key] = draw(values)
-    return draw(st.one_of(st.just(manifest), json_values))
+            node[key] = value
+    return manifest
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_analyze_dataset_exits_0_2_or_3(small_dataset, data):
+# whole: None keeps the edited manifest, a 1-tuple replaces it
+@given(edits=manifest_edits, whole=st.one_of(st.none(), st.tuples(json_values)))
+@example(edits=[], whole=(OVERFLOWING_VASF,))
+def test_analyze_dataset_exits_0_2_or_3(small_dataset, edits, whole):
     out, base = small_dataset
-    manifest = data.draw(manifests(base))
+    manifest = _edited(base, edits) if whole is None else whole[0]
     path = _write(out / "fuzzed.json", json.dumps(manifest))
     code = main(["analyze", "--dataset", str(path), "--out", str(out / "r.json")])
     event(f"exit {code}")

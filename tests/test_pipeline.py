@@ -534,6 +534,40 @@ def test_line_frequency_comes_from_the_manifest(tmp_path, monkeypatch, capsys):
         assert str(bad) in err and "config.line_freq_hz" in err, err
 
 
+def test_recording_line_frequency_option_matches_the_dataset(tmp_path, capsys):
+    # a 60 Hz recording scored through --recording removes the 50 Hz default
+    # unless told otherwise; the dataset path reads 60 Hz from its manifest.
+    # The dataset's only task is the default protocol's task 3.
+    out = tmp_path / "mains60"
+    protocol = SynthProtocol(tasks=(TaskProtocol("gabor_pulse", (72.0,), 4),), n_subjects=1)
+    manifest = synth_dataset(SynthConfig(line_freq_hz=60.0, seed=3), protocol, out)
+    dataset_report = tmp_path / "dataset.json"
+    assert main(["analyze", "--dataset", str(out / "manifest.json"),
+                 "--out", str(dataset_report)]) == 0
+    expected = json.loads(dataset_report.read_text())["tasks"][0]["rows"][0]
+    task = manifest["subjects"][0]["tasks"][0]
+    argv = ["analyze", "--recording", str(out / task["recording"]),
+            "--markers", str(out / task["markers"]), "--task", "3",
+            "--out", str(tmp_path / "r.json")]
+
+    def per_target_snr(extra):
+        assert main(argv + extra) == 0
+        row = json.loads((tmp_path / "r.json").read_text())["tasks"][0]["rows"][0]
+        return row["per_target_snr_db"]
+
+    assert per_target_snr(["--line-freq", "60"]) == expected["per_target_snr_db"]
+    assert per_target_snr([]) != expected["per_target_snr_db"]
+
+    capsys.readouterr()
+    for value in ("nan", "inf", "0", "-60"):
+        assert main(argv + ["--line-freq", value]) == 2
+        err = capsys.readouterr().err
+        assert "--line-freq must be a finite number > 0" in err, err
+    assert main(["analyze", "--dataset", str(out / "manifest.json"), "--line-freq", "60",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert "--line-freq applies to --recording only" in capsys.readouterr().err
+
+
 def test_rest_window_past_next_onset_is_an_input_error(tmp_path, capsys):
     # 1 s rests under 5 s windows: each rest epoch would read the next
     # stimulation, and onset accuracy would come out wrong instead

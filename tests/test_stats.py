@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,3 +166,16 @@ def test_score_vasf_thirteenths_grid():
 def test_score_vasf_validates():
     with pytest.raises(InputError):
         score_vasf([1.0] * 17)
+
+
+@pytest.mark.parametrize("bad", [1.7e308, 10.5, -0.1, float("nan"), float("inf")])
+def test_score_vasf_rejects_items_off_the_scale(bad):
+    # two items of 1.7e308 overflowed the mean to inf instead of failing
+    items = [5.0] * 18
+    items[3] = items[11] = bad
+    message = re.escape(f"VAS-F item 4 is {bad!r}, outside the scale's [0, 10]")
+    with pytest.raises(InputError, match=message):
+        score_vasf(items)
+    # the scale's ends are items like any other
+    for edge in (0.0, 10.0):
+        assert score_vasf([edge] * 18).fatigue == edge

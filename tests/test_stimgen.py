@@ -365,3 +365,74 @@ def test_pulse_depth_keeps_the_mask_width_positive(tmp_path):
     sch = build_frame_schedule(spec)
     assert write_frame_stack(spec, sch, tmp_path / "frames") == sch.n_frames == 7
     assert len(list((tmp_path / "frames").iterdir())) == 7
+
+
+@pytest.mark.parametrize("geom", [
+    CheckerGeometry(radial_cycles=3, angular_cycles=8, outer_radius_px=20,
+                    fixation_radius_px=4),
+    CheckerGeometry(radial_cycles=2, angular_cycles=5, outer_radius_px=7,
+                    fixation_radius_px=0),
+    CheckerGeometry(radial_cycles=1, angular_cycles=1, outer_radius_px=1,
+                    fixation_radius_px=1),
+])
+def test_palette_frames_encode_like_their_pixels(tmp_path, geom):
+    from veplab.stimgen import LuminanceImage
+
+    # level 0.0, byte 128, covers the outside and every pixel whose angular
+    # sine is exactly 0 (the centre and the wedge edges on the axes); phases
+    # 0 and pi are the ends of the range
+    for phase in (0.0, np.pi, 1e-12, np.pi / 2, 2.0, np.pi - 1e-9):
+        image = render_checkerboard(geom, phase)
+        assert image.index is not None and image.levels.ndim == 1
+        values = image.values
+        write_pgm(image, tmp_path / "palette.pgm")
+        write_pgm(LuminanceImage(values), tmp_path / "dense.pgm")
+        palette = (tmp_path / "palette.pgm").read_bytes()
+        assert palette == (tmp_path / "dense.pgm").read_bytes()
+        ref = np.round(np.clip((values + 1) * 127.5, 0, 255)).astype(np.uint8)
+        assert (ref == 128).any()
+        size = 2 * geom.outer_radius_px + 1
+        assert palette == f"P5\n{size} {size}\n255\n".encode("ascii") + ref.tobytes()
+
+
+def test_luminance_image_rejects_malformed_palettes():
+    from veplab.stimgen import LuminanceImage
+
+    index = np.zeros((3, 4), dtype=np.intp)
+    image = LuminanceImage(np.array([-1.0, 0.0, 1.0]), index)
+    assert (image.height, image.width) == (3, 4)
+    assert np.array_equal(image.values, np.full((3, 4), -1.0))
+    for levels in (np.array([0.0, 1.5]), np.array([np.nan, 0.0]), np.array([-1.1])):
+        with pytest.raises(InputError, match=r"\[-1, 1\]"):
+            LuminanceImage(levels, index)
+    with pytest.raises(InputError, match="2-D"):
+        LuminanceImage(np.array([0.0, 1.0]))
+    with pytest.raises(InputError, match="palette levels must be 1-D"):
+        LuminanceImage(np.zeros((2, 2)), index)
+    for bad in (np.zeros(4, dtype=np.intp), np.zeros((2, 2, 2), dtype=np.intp),
+                np.zeros((2, 2)), np.zeros((2, 2), dtype=bool), [[0.5, 1.0]]):
+        with pytest.raises(InputError, match="2-D integer array"):
+            LuminanceImage(np.array([0.0, 1.0]), bad)
+
+
+# sha256 of each stack's frame files concatenated in name order: the
+# benchmark's seed-1 stimuli, 72 frames each
+SEED1_FRAME_DIGESTS = {
+    ("pattern_reversal", 8.0): "131d40f994ef63bf360538036babb1ddc9412938a88b6c6efeccfa20d4fcc529",
+    ("radial_motion", 12.0): "3524587ccca18be6277d9371db28b89957a0ba6ae2ecd43bf322daf63febb223",
+    ("gabor_pulse", 48.0): "97b6640023f9a1cc320112f6b26c62508fcb34e2810a9ea9080f0b0a0acbdca8",
+}
+
+
+@pytest.mark.parametrize("paradigm,freq", sorted(SEED1_FRAME_DIGESTS))
+def test_default_frame_stacks_are_pinned(tmp_path, paradigm, freq):
+    import hashlib
+
+    from veplab.stimgen import write_frame_stack
+
+    spec = StimulusSpec(paradigm, freq, 144.0, 0.5)
+    assert write_frame_stack(spec, build_frame_schedule(spec), tmp_path) == 72
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == SEED1_FRAME_DIGESTS[paradigm, freq]
