@@ -15,9 +15,7 @@ from .model import (
     save_recording,
 )
 from .stimgen import (
-    CheckerGeometry,
     FrameSchedule,
-    GaborParams,
     LuminanceImage,
     StimulusSpec,
     build_frame_schedule,
@@ -54,7 +52,6 @@ from .pipeline import (
     analyze_dataset,
     config_for_task,
     emit_report,
-    run_pipeline,
 )
 
 __version__ = "0.1.0"

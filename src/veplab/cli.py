@@ -160,11 +160,15 @@ def _write_decisions_csv(trials, offsets, path) -> None:
 def _cmd_analyze(args) -> int:
     fmt = args.format
     if args.dataset:
-        if args.line_freq is not None:
-            raise InputError(
-                "--line-freq applies to --recording only: a dataset's manifest "
-                "records its mains frequency"
-            )
+        # the manifest names each recording, its markers, task and mains
+        # frequency, and a dataset run writes no per-trial decisions
+        for flag, value in (
+            ("--recording", args.recording), ("--markers", args.markers),
+            ("--task", args.task), ("--line-freq", args.line_freq),
+            ("--decisions", args.decisions),
+        ):
+            if value is not None:
+                raise InputError(f"{flag} applies to --recording only, not to --dataset")
         report = analyze_dataset(args.dataset)
     else:
         if not (args.recording and args.markers and args.task):
@@ -219,13 +223,25 @@ def _cmd_stats(args) -> int:
                     # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
                     raise InputError(f"{path}: not a report JSON: {exc}") from None
             if isinstance(data, dict) and "tasks" in data:
-                reports.append(Report(tasks=_report_tasks(path, data)))
+                reports.append((path, _report_tasks(path, data)))
     if not reports:
         raise InputError(f"no report JSON files found in {args.reports}")
     merged: dict[int, dict] = {}
-    for rep in reports:
-        for t in rep.tasks:
-            entry = merged.setdefault(int(t["task"]), dict(t, rows=[]))
+    # the report each (task, subject) row came from; a second copy of a
+    # subject would count as one more subject
+    held: dict[tuple[int, str], str] = {}
+    for path, tasks in reports:
+        for t in tasks:
+            task = int(t["task"])
+            entry = merged.setdefault(task, dict(t, rows=[]))
+            for row in t["rows"]:
+                key = (task, row["subject"])
+                if key in held:
+                    raise InputError(
+                        f"task {task}, subject {row['subject']} appears in "
+                        f"{held[key]} and again in {path}"
+                    )
+                held[key] = path
             entry["rows"].extend(t["rows"])
     combined = Report(tasks=[merged[k] for k in sorted(merged)])
     out = stats_report(combined, test=args.test, metric=args.metric)

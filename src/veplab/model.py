@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,10 +89,9 @@ def _check_sample_rate(fs: float) -> None:
 
 @dataclass(frozen=True)
 class ChannelLayout:
-    """Ordered channel labels plus provenance of derived (virtual) channels."""
+    """Ordered channel labels."""
 
     names: tuple[str, ...]
-    virtual_sources: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.names:
@@ -393,13 +392,9 @@ def derive_virtual_channel(
         raise InputError(f"channel name {new_name!r} already in use")
     idx = [rec.layout.index(s) for s in sources]
     virt = rec.samples[idx].mean(axis=0)
-    layout = ChannelLayout(
-        rec.layout.names + (new_name,),
-        dict(rec.layout.virtual_sources, **{new_name: tuple(sources)}),
-    )
     return Recording(
         sample_rate_hz=rec.sample_rate_hz,
-        layout=layout,
+        layout=ChannelLayout(rec.layout.names + (new_name,)),
         samples=np.vstack([rec.samples, virt[None, :]]),
         t0=rec.t0,
         times_s=rec.times_s,
@@ -409,25 +404,24 @@ def derive_virtual_channel(
 def extract_epochs(
     rec: Recording,
     markers: MarkerStream,
-    window_s: tuple[float, float],
+    length_s: float,
     marker_prefix: str = MARKER_ONSET,
 ) -> list[TrialEpoch]:
-    """Cut one epoch per matching marker, snapped to the nearest sample.
+    """Cut one epoch of length_s seconds from each matching marker, snapped to
+    the nearest sample.
 
-    window_s is (start_offset, end_offset) relative to the marker time.
     Raises if any window falls outside the recording, listing the marker time.
     """
-    start_off, end_off = window_s
-    if end_off <= start_off:
-        raise InputError(f"empty epoch window {window_s}")
+    if not length_s > 0:
+        raise InputError(f"epoch length must be > 0, got {length_s}")
     fs = rec.sample_rate_hz
     # capped so round() never meets an overflowed product; a capped index
     # lies outside the recording and fails the bounds check
     cap = rec.n_samples + 1.0
-    n_win = round(min((end_off - start_off) * fs, cap))
+    n_win = round(min(length_s * fs, cap))
     epochs = []
     for t, paradigm, freq in markers.with_prefix(marker_prefix):
-        i0 = round(min(max((t + start_off - rec.t0) * fs, -cap), cap))
+        i0 = round(min(max((t - rec.t0) * fs, -cap), cap))
         i1 = i0 + n_win
         if i0 < 0 or i1 > rec.n_samples:
             raise InputError(
@@ -440,7 +434,7 @@ def extract_epochs(
                 target_freq_hz=freq,
                 samples=rec.samples[:, i0:i1],
                 sample_rate_hz=fs,
-                onset_s=t + start_off,
+                onset_s=t,
             )
         )
     return epochs

@@ -230,8 +230,7 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
     # Artifact suppression runs on the continuous recording: its calibration
     # needs >= 10 s of data, which no single trial epoch can provide.
     rec = _staged("artifact-suppression", None, suppress_artifacts, rec)
-    window = (0.0, cfg.trial_s)
-    epochs = _staged("epoching", None, extract_epochs, rec, markers, window)
+    epochs = _staged("epoching", None, extract_epochs, rec, markers, cfg.trial_s)
     ch_idx = rec.layout.index(channel)
 
     fs = rec.sample_rate_hz
@@ -283,7 +282,7 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
     offset_decisions = []
     if cfg.onset_mode:
         rest_epochs = _staged(
-            "epoching", None, extract_epochs, rec, markers, window,
+            "epoching", None, extract_epochs, rec, markers, cfg.trial_s,
             marker_prefix=MARKER_OFFSET,
         )
         _check_rest_windows(rec, markers, cfg.trial_s, cfg.markers_path)
@@ -402,11 +401,6 @@ def result_report(
 ) -> Report:
     """Wrap one analyzed recording as a single-subject report."""
     return Report(tasks=[_task_entry(cfg, [_row_from_result(result, fatigue)])])
-
-
-def run_pipeline(cfg: PipelineConfig, fatigue: float | None = None) -> Report:
-    """Analyze one recording and wrap it as a single-subject report."""
-    return result_report(cfg, analyze_recording(cfg), fatigue)
 
 
 def _vasf_score(items, where: str, baseline=None) -> vstats.VasfScore:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -35,50 +36,22 @@ class NonIntegerCycleWarning(UserWarning):
     """Stimulus frequency does not divide the refresh rate evenly."""
 
 
-@dataclass(frozen=True)
-class CheckerGeometry:
-    """Radial checkerboard geometry (rings x wedges, sizes in pixels)."""
+# Radial checkerboard (rings x wedges, sizes in pixels)
+RADIAL_CYCLES = 5
+ANGULAR_CYCLES = 12
+OUTER_RADIUS_PX = 256
+FIXATION_RADIUS_PX = 25
 
-    radial_cycles: int = 5
-    angular_cycles: int = 12
-    outer_radius_px: int = 256
-    fixation_radius_px: int = 25
-
-    def __post_init__(self):
-        if self.radial_cycles < 1 or self.angular_cycles < 1:
-            raise InputError("radial_cycles and angular_cycles must be >= 1")
-        if self.outer_radius_px <= 0:
-            raise InputError("outer_radius_px must be > 0")
-        if self.fixation_radius_px < 0:
-            raise InputError("fixation_radius_px must be >= 0")
-
-
-@dataclass(frozen=True)
-class GaborParams:
-    """Sinusoidal grating with Gaussian envelope.
-
-    spatial_freq is in cycles per stimulus width; phase in radians. The
-    pulse scales the Gaussian mask width (sigma) by 1 +- pulse_depth, with
-    pulse_depth in [0, 1) so the narrowest mask keeps a width; the grating
-    contrast stays fixed.
-    """
-
-    contrast: float = 1.0
-    phase: float = 2.5
-    spatial_freq: float = 25.0
-    mask_sigma_px: float = 48.0
-    pulse_depth: float = 0.3
-    size_px: int = 256
-
-    def __post_init__(self):
-        if not 0.0 <= self.contrast <= 1.0:
-            raise InputError(f"contrast must be in [0, 1], got {self.contrast}")
-        if not 0.0 <= self.pulse_depth < 1.0:
-            raise InputError(f"pulse_depth must be in [0, 1), got {self.pulse_depth}")
-        if self.mask_sigma_px <= 0:
-            raise InputError("mask_sigma_px must be > 0")
-        if self.size_px <= 0:
-            raise InputError("size_px must be > 0")
+# Sinusoidal grating with Gaussian envelope: the spatial frequency is in
+# cycles per stimulus width and the phase in radians. The pulse scales the
+# Gaussian mask width (sigma) by 1 +- PULSE_DEPTH, which is below 1 so the
+# narrowest mask keeps a width; the grating contrast stays fixed.
+GABOR_CONTRAST = 1.0
+GABOR_PHASE = 2.5
+GABOR_SPATIAL_FREQ = 25.0
+GABOR_SIGMA_PX = 48.0
+PULSE_DEPTH = 0.3
+GABOR_SIZE_PX = 256
 
 
 @dataclass(frozen=True)
@@ -87,14 +60,6 @@ class StimulusSpec:
     stim_freq_hz: float
     refresh_rate_hz: float = 144.0
     duration_s: float = 5.0
-    geometry: CheckerGeometry | GaborParams | None = None
-
-    def resolved_geometry(self) -> CheckerGeometry | GaborParams:
-        if self.geometry is not None:
-            return self.geometry
-        if self.paradigm == GABOR_PULSE:
-            return GaborParams()
-        return CheckerGeometry()
 
 
 @dataclass(frozen=True)
@@ -220,11 +185,6 @@ def validate_spec(spec: StimulusSpec) -> None:
             f"stim_freq_hz {spec.stim_freq_hz} exceeds Nyquist for "
             f"refresh {spec.refresh_rate_hz} Hz"
         )
-    geometry = spec.resolved_geometry()
-    if spec.paradigm == GABOR_PULSE and not isinstance(geometry, GaborParams):
-        raise InputError("gabor_pulse requires GaborParams geometry")
-    if spec.paradigm != GABOR_PULSE and not isinstance(geometry, CheckerGeometry):
-        raise InputError(f"{spec.paradigm} requires CheckerGeometry geometry")
     frames_per_cycle = spec.refresh_rate_hz / spec.stim_freq_hz
     if abs(frames_per_cycle - round(frames_per_cycle)) > 1e-9:
         warnings.warn(
@@ -247,97 +207,93 @@ def build_frame_schedule(spec: StimulusSpec) -> FrameSchedule:
     elif spec.paradigm == RADIAL_MOTION:
         values = radial_phase(n / fr, f)
     else:
-        geometry = spec.resolved_geometry()
         # Cosine phase: the pulse peaks at frame 0 and still alternates
         # frame-to-frame at the Nyquist pulse rate (e.g. 72 Hz on 144 Hz),
         # where a sine sampled at frame times would be identically zero.
-        values = 1.0 + geometry.pulse_depth * np.cos(2 * np.pi * f * n / fr)
+        values = 1.0 + PULSE_DEPTH * np.cos(2 * np.pi * f * n / fr)
     return FrameSchedule(refresh_rate_hz=fr, paradigm=spec.paradigm, values=values)
 
 
-@functools.lru_cache(maxsize=4)
-def _checker_grid(geom: CheckerGeometry):
-    """The phase-independent parts of a checkerboard, built once per geometry.
+@functools.cache
+def _checker_grid():
+    """The phase-independent parts of the checkerboard, built once.
 
     Returns (distinct, index), both read-only. distinct holds the sorted
     distinct values of the radial argument 2*pi*k*r/R over the grid. index
     holds, per pixel, a position in the table [ring, -ring, 0.0, 1.0] with
     ring = sign(sin(distinct + phase)): i or i + n for a pixel with radial
-    value distinct[i] where sin(angular_cycles*theta) is > 0 or < 0, 2n
+    value distinct[i] where sin(ANGULAR_CYCLES*theta) is > 0 or < 0, 2n
     where that sine is 0 or the pixel lies beyond the outer radius, and
-    2n + 1 inside the fixation disk (applied last, so fixation wins).
+    2n + 1 inside the fixation disk. The 513 x 513 grid holds about 2.3 MB.
     """
-    # A default 513 x 513 grid holds about 2.3 MB; a stimulus run uses one
-    # or two geometries, so a few entries bound the memory.
-    size = 2 * geom.outer_radius_px + 1
-    offsets = np.arange(size, dtype=np.float64) - geom.outer_radius_px
+    size = 2 * OUTER_RADIUS_PX + 1
+    offsets = np.arange(size, dtype=np.float64) - OUTER_RADIUS_PX
     # r depends only on |x| and |y| (hypot(-x, y) == hypot(x, y) exactly), so
     # the radial parts are built on one quadrant and gathered onto the grid
-    quadrant = offsets[geom.outer_radius_px :]
+    quadrant = offsets[OUTER_RADIUS_PX:]
     r = np.hypot(quadrant[None, :], quadrant[:, None])
-    radial = 2 * np.pi * geom.radial_cycles * r / geom.outer_radius_px
+    radial = 2 * np.pi * RADIAL_CYCLES * r / OUTER_RADIUS_PX
     distinct, folded = np.unique(radial, return_inverse=True)
     n = len(distinct)
     fold = np.abs(offsets).astype(np.intp)
     rows, cols = fold[:, None], fold[None, :]
     index = folded.reshape(r.shape)[rows, cols]
     angular = np.arctan2(offsets[:, None], offsets[None, :])
-    angular *= geom.angular_cycles
+    angular *= ANGULAR_CYCLES
     np.sin(angular, out=angular)
     index[angular < 0] += n
     index[angular == 0] = 2 * n
     del angular
-    index[(r > geom.outer_radius_px)[rows, cols]] = 2 * n
-    index[(r < geom.fixation_radius_px)[rows, cols]] = 2 * n + 1
+    index[(r > OUTER_RADIUS_PX)[rows, cols]] = 2 * n
+    index[(r < FIXATION_RADIUS_PX)[rows, cols]] = 2 * n + 1
     for a in (distinct, index):
         a.setflags(write=False)
     return distinct, index
 
 
-def render_checkerboard(geom: CheckerGeometry, phase: float) -> LuminanceImage:
+def render_checkerboard(phase: float) -> LuminanceImage:
     """Radial checkerboard at the given radial phase.
 
-    value(r, theta) = sign(sin(2*pi*radial_cycles*r/outer_radius + phase)
-                           * sin(angular_cycles*theta));
+    value(r, theta) = sign(sin(2*pi*RADIAL_CYCLES*r/OUTER_RADIUS_PX + phase)
+                           * sin(ANGULAR_CYCLES*theta));
     the fixation disk is white (+1) and everything beyond the outer radius
     is mean gray (0). Per frame, sin(2*pi*k*r/R + phase) is evaluated once
     per distinct pixel radius, and the frame is the palette image of the
     2n + 2 levels [ring, -ring, 0, 1] through the read-only index
-    _checker_grid builds once per CheckerGeometry; no float frame is built.
+    _checker_grid builds once; no float frame is built.
     The values equal the formula's, since sign(a*b) = sign(a)*sign(b) for
     these sines, whose products are never subnormal.
     """
     if not -1e-12 <= phase <= np.pi + 1e-12:
         raise InputError(f"phase must be in [0, pi], got {phase}")
-    distinct, index = _checker_grid(geom)
+    distinct, index = _checker_grid()
     ring = np.sign(np.sin(distinct + phase))
     return LuminanceImage(np.concatenate([ring, -ring, [0.0, 1.0]]), index)
 
 
-def render_gabor(params: GaborParams, mask_scale: float = 1.0) -> LuminanceImage:
+def render_gabor(mask_scale: float) -> LuminanceImage:
     """Gabor patch with the Gaussian mask width scaled by mask_scale."""
     if not (math.isfinite(mask_scale) and mask_scale > 0):
         raise InputError(f"mask_scale must be finite and > 0, got {mask_scale}")
-    size = params.size_px
+    size = GABOR_SIZE_PX
     coords = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     x = coords[None, :]
     y = coords[:, None]
-    grating = params.contrast * np.cos(
-        2 * np.pi * params.spatial_freq * x / size + params.phase
+    grating = GABOR_CONTRAST * np.cos(
+        2 * np.pi * GABOR_SPATIAL_FREQ * x / size + GABOR_PHASE
     )
-    sigma = mask_scale * params.mask_sigma_px
+    sigma = mask_scale * GABOR_SIGMA_PX
     envelope = np.exp(-(x**2 + y**2) / (2.0 * sigma**2))
     return LuminanceImage(grating * envelope)
 
 
 def render_frame(spec: StimulusSpec, state) -> LuminanceImage:
     """Render one frame of the paradigm from its schedule state."""
-    geometry = spec.resolved_geometry()
     if spec.paradigm == PATTERN_REVERSAL:
-        return render_checkerboard(geometry, np.pi * int(state))
+        return render_checkerboard(np.pi * int(state))
     if spec.paradigm == RADIAL_MOTION:
-        return render_checkerboard(geometry, float(state))
-    return render_gabor(geometry, float(state))
+        return render_checkerboard(float(state))
+    return render_gabor(float(state))
 
 
 def write_pgm(image: LuminanceImage, path) -> None:
@@ -362,8 +318,6 @@ def write_pgm(image: LuminanceImage, path) -> None:
 
 def write_frame_stack(spec: StimulusSpec, schedule: FrameSchedule, out_dir) -> int:
     """Render every frame of the schedule to out_dir/frame_<n>.pgm."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     for n, state in enumerate(schedule.values.tolist()):
         write_pgm(render_frame(spec, state), os.path.join(out_dir, f"frame_{n:05d}.pgm"))

@@ -196,7 +196,7 @@ def test_derive_virtual_channel_mean():
     )
     out = derive_virtual_channel(rec, "POz", ["Pz", "Oz"])
     np.testing.assert_array_equal(out.channel("POz"), [2.0, 3.0])
-    assert out.layout.virtual_sources["POz"] == ("Pz", "Oz")
+    assert out.layout.names == ("Pz", "Oz", "POz")
     # originals untouched
     np.testing.assert_array_equal(out.samples[:2], rec.samples)
 
@@ -248,7 +248,7 @@ def test_extract_epochs_counts_and_snapping():
         events.append((t, f"trial_onset:radial_motion:8.0"))
         events.append((t + 5.0, f"trial_offset:radial_motion:8.0"))
     mk = MarkerStream(tuple(events))
-    epochs = extract_epochs(rec, mk, (0.0, 5.0))
+    epochs = extract_epochs(rec, mk, 5.0)
     assert len(epochs) == 30
     assert all(e.n_samples == 2500 for e in epochs)
     assert epochs[0].condition == "radial_motion"
@@ -259,7 +259,11 @@ def test_extract_epochs_counts_and_snapping():
 
 def test_extract_epochs_empty_and_bounds():
     rec = Recording(500.0, ChannelLayout(("a",)), np.zeros((1, 1000)))
-    assert extract_epochs(rec, MarkerStream(()), (0.0, 1.0)) == []
+    assert extract_epochs(rec, MarkerStream(()), 1.0) == []
     mk = MarkerStream(((1.0, "trial_onset:radial_motion:8.0"),))
     with pytest.raises(InputError, match="1.0"):
-        extract_epochs(rec, mk, (0.0, 5.0))
+        extract_epochs(rec, mk, 5.0)
+    # a trial length can come from a manifest
+    for length in (0.0, -1.0, float("nan")):
+        with pytest.raises(InputError, match="epoch length must be > 0"):
+            extract_epochs(rec, mk, length)

@@ -21,8 +21,9 @@ from veplab.pipeline import (
     Report,
     analyze_dataset,
     config_for_task,
+    analyze_recording,
     emit_report,
-    run_pipeline,
+    result_report,
     stats_report,
 )
 
@@ -75,7 +76,7 @@ def test_single_recording_pipeline(tiny_dataset):
         markers_path=str(out / task["markers"]),
         subject="S1",
     )
-    report = run_pipeline(cfg)
+    report = result_report(cfg, analyze_recording(cfg))
     row = report.tasks[0]["rows"][0]
     assert row["subject"] == "S1"
     assert set(row["per_target_accuracy_pct"]) == {"8.0", "12.0", "16.0"}
@@ -294,6 +295,15 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     row = {"subject": "S3", "snr_db": 1.0, "accuracy_pct": 90.0, "fatigue": None,
            "per_target_snr_db": {"8.0": None}, "per_target_accuracy_pct": {"8.0": 90.0}}
     (reports / "r.json").write_text(json.dumps({"tasks": [{"task": 2, "rows": [row]}]}))
+    # a report copied twice would count each of its subjects twice
+    copied = tmp_path / "copied"
+    copied.mkdir()
+    rows = [
+        dict(row, subject=subject, per_target_snr_db={"8.0": snr, "12.0": snr / 2})
+        for subject, snr in (("S3", 3.0), ("S4", 5.0))
+    ]
+    for name in ("a.json", "b.json"):
+        (copied / name).write_text(json.dumps({"tasks": [{"task": 2, "rows": rows}]}))
     out = str(tmp_path / "z.json")
     cases = [
         (["analyze", "--recording", str(rec), "--markers", str(dots), "--task", "2",
@@ -312,6 +322,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
          [str(bogus_protocol), "protocol", "'bogus'"]),
         (["stats", "--reports", str(reports), "--test", "rm-anova"],
          [str(reports / "r.json"), "task 2", "subject S3", "per_target_snr_db"]),
+        (["stats", "--reports", str(copied), "--test", "rm-anova"],
+         ["task 2, subject S3", str(copied / "a.json"), str(copied / "b.json")]),
     ]
     # non-finite stimulus numbers, a duration too short for one frame, and
     # frame counts above the ceiling
@@ -566,6 +578,23 @@ def test_recording_line_frequency_option_matches_the_dataset(tmp_path, capsys):
     assert main(["analyze", "--dataset", str(out / "manifest.json"), "--line-freq", "60",
                  "--out", str(tmp_path / "r.json")]) == 2
     assert "--line-freq applies to --recording only" in capsys.readouterr().err
+
+
+def test_dataset_rejects_single_recording_flags(tiny_dataset, tmp_path, capsys):
+    # the manifest names every recording, its markers and task, so these
+    # flags would be ignored; a decisions CSV would silently not be written
+    out, _ = tiny_dataset
+    base = ["analyze", "--dataset", str(out / "manifest.json"), "--out", str(tmp_path / "r.json")]
+    capsys.readouterr()
+    for flag, value in (
+        ("--decisions", str(tmp_path / "d.csv")),
+        ("--recording", str(out / "sub01_task1_recording.csv")),
+        ("--markers", str(out / "sub01_task1_markers.csv")),
+        ("--task", "1"),
+    ):
+        assert main([*base, flag, value]) == 2, flag
+        assert f"{flag} applies to --recording only" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists() and not (tmp_path / "r.json").exists()
 
 
 def test_rest_window_past_next_onset_is_an_input_error(tmp_path, capsys):

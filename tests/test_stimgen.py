@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from veplab import (
-    CheckerGeometry,
-    GaborParams,
     StimulusSpec,
     build_frame_schedule,
     radial_phase,
@@ -14,7 +12,28 @@ from veplab import (
     validate_spec,
 )
 from veplab.errors import InputError
-from veplab.stimgen import MAX_FRAMES, NonIntegerCycleWarning, write_pgm
+from veplab.stimgen import (
+    ANGULAR_CYCLES,
+    FIXATION_RADIUS_PX,
+    GABOR_CONTRAST,
+    GABOR_PHASE,
+    GABOR_SIGMA_PX,
+    GABOR_SIZE_PX,
+    GABOR_SPATIAL_FREQ,
+    MAX_FRAMES,
+    OUTER_RADIUS_PX,
+    PULSE_DEPTH,
+    RADIAL_CYCLES,
+    NonIntegerCycleWarning,
+    write_pgm,
+)
+
+
+def checker_polar():
+    """Pixel radius and angle over the whole checkerboard grid."""
+    c = OUTER_RADIUS_PX
+    y, x = np.mgrid[0 : 2 * c + 1, 0 : 2 * c + 1].astype(np.float64)
+    return np.hypot(x - c, y - c), np.arctan2(y - c, x - c)
 
 
 def test_radial_phase_unit_points():
@@ -72,9 +91,8 @@ def test_reversal_flip_count_integer_cycles():
 def test_gabor_pulse_alternates_at_half_refresh():
     sch = build_frame_schedule(StimulusSpec("gabor_pulse", 72.0, 144.0, 0.5))
     vals = sch.values
-    depth = GaborParams().pulse_depth
-    np.testing.assert_allclose(vals[0::2], 1.0 + depth, atol=1e-12)
-    np.testing.assert_allclose(vals[1::2], 1.0 - depth, atol=1e-12)
+    np.testing.assert_allclose(vals[0::2], 1.0 + PULSE_DEPTH, atol=1e-12)
+    np.testing.assert_allclose(vals[1::2], 1.0 - PULSE_DEPTH, atol=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::veplab.stimgen.NonIntegerCycleWarning")
@@ -106,81 +124,89 @@ def test_radial_schedule_matches_high_precision_reference():
 
 
 def test_checkerboard_negation_between_phases():
-    geom = CheckerGeometry(radial_cycles=3, angular_cycles=8, outer_radius_px=40,
-                           fixation_radius_px=5)
-    a = render_checkerboard(geom, 0.0).values
-    b = render_checkerboard(geom, np.pi).values
-    c = geom.outer_radius_px
-    y, x = np.mgrid[0 : 2 * c + 1, 0 : 2 * c + 1].astype(float)
-    r = np.hypot(x - c, y - c)
-    annulus = (r >= geom.fixation_radius_px) & (r <= geom.outer_radius_px)
+    a = render_checkerboard(0.0).values
+    b = render_checkerboard(np.pi).values
+    r, _ = checker_polar()
+    annulus = (r >= FIXATION_RADIUS_PX) & (r <= OUTER_RADIUS_PX)
     # sign(sin(x+pi)) = -sign(sin(x)) inside the annulus
     np.testing.assert_allclose(a[annulus], -b[annulus], atol=1e-12)
 
 
 def test_checkerboard_fixation_disk_white_and_outside_gray():
-    geom = CheckerGeometry(outer_radius_px=30, fixation_radius_px=6)
+    r, _ = checker_polar()
     for phase in (0.0, 1.0, np.pi):
-        img = render_checkerboard(geom, phase).values
-        c = geom.outer_radius_px
-        y, x = np.mgrid[0 : 2 * c + 1, 0 : 2 * c + 1].astype(float)
-        r = np.hypot(x - c, y - c)
-        assert np.all(img[r < geom.fixation_radius_px] == 1.0)
-        assert np.all(img[r > geom.outer_radius_px] == 0.0)
+        img = render_checkerboard(phase).values
+        assert np.all(img[r < FIXATION_RADIUS_PX] == 1.0)
+        assert np.all(img[r > OUTER_RADIUS_PX] == 0.0)
 
 
 def test_checkerboard_ring_count_oracle():
     # sample a mid-wedge ray; the 1-D radial profile evaluated at the same
     # pixel radii is the oracle for how many band transitions it crosses
-    geom = CheckerGeometry(radial_cycles=4, angular_cycles=8, outer_radius_px=60,
-                           fixation_radius_px=0)
-    img = render_checkerboard(geom, 0.0).values
-    c = geom.outer_radius_px
-    theta = np.pi / 16  # middle of the first wedge, where sin(8*theta) > 0
+    img = render_checkerboard(0.0).values
+    c = OUTER_RADIUS_PX
+    theta = np.pi / (2 * ANGULAR_CYCLES)  # middle of the first wedge
     ray_signs, radii = [], []
-    for r in range(1, 59):
+    for r in range(1, c - 1):
         px = c + round(r * np.cos(theta))
         py = c + round(r * np.sin(theta))
         v = img[py, px]
         if v != 0:
             ray_signs.append(v)
             radii.append(np.hypot(px - c, py - c))
-    oracle = np.sign(
-        np.sin(2 * np.pi * geom.radial_cycles * np.array(radii) / geom.outer_radius_px)
-    )
+    radii = np.array(radii)
+    oracle = np.sign(np.sin(2 * np.pi * RADIAL_CYCLES * radii / OUTER_RADIUS_PX))
+    oracle[radii < FIXATION_RADIUS_PX] = 1.0
     changes = int(np.sum(np.diff(ray_signs) != 0))
     assert changes == int(np.sum(np.diff(oracle) != 0))
-    # bands alternate: transitions + 1 = 2 rings per radial cycle
-    assert changes + 1 == 2 * geom.radial_cycles
+    # bands alternate: transitions + 1 = 2 rings per radial cycle, since the
+    # white fixation disk lies inside the first (white on this ray) ring
+    assert FIXATION_RADIUS_PX < OUTER_RADIUS_PX / (2 * RADIAL_CYCLES)
+    assert changes + 1 == 2 * RADIAL_CYCLES
+
+
+def gabor_oracle(mask_scale):
+    """The grating times the Gaussian envelope, pixel by pixel."""
+    size = GABOR_SIZE_PX
+    y, x = np.mgrid[0:size, 0:size].astype(np.float64) - (size - 1) / 2.0
+    grating = GABOR_CONTRAST * np.cos(
+        2 * np.pi * GABOR_SPATIAL_FREQ * x / size + GABOR_PHASE
+    )
+    sigma = mask_scale * GABOR_SIGMA_PX
+    return grating, np.exp(-(x * x + y * y) / (2.0 * sigma * sigma))
 
 
 def test_gabor_center_value_equals_contrast():
-    params = GaborParams(contrast=0.8, phase=0.0, size_px=65, mask_sigma_px=10.0)
-    img = render_gabor(params, mask_scale=1.0)
-    assert abs(img.values[32, 32] - 0.8) <= 1e-12
+    for scale in (1.0 - PULSE_DEPTH, 1.0, 1.0 + PULSE_DEPTH):
+        img = render_gabor(scale).values
+        grating, envelope = gabor_oracle(scale)
+        np.testing.assert_allclose(img, grating * envelope, rtol=0, atol=1e-12)
+        # the four centre pixels, half a pixel off the envelope's peak on
+        # each axis, keep the grating at full contrast
+        mid = slice(GABOR_SIZE_PX // 2 - 1, GABOR_SIZE_PX // 2 + 1)
+        np.testing.assert_allclose(img[mid, mid], grating[mid, mid], rtol=1e-3)
 
 
 def test_gabor_large_mask_approaches_pure_grating():
-    params = GaborParams(contrast=1.0, phase=2.5, spatial_freq=25.0, size_px=64,
-                         mask_sigma_px=8.0)
-    img = render_gabor(params, mask_scale=1e6)
-    x = np.arange(64) - 31.5
-    grating = np.cos(2 * np.pi * 25.0 * x / 64 + 2.5)
+    img = render_gabor(1e6)
+    x = np.arange(GABOR_SIZE_PX) - (GABOR_SIZE_PX - 1) / 2.0
+    grating = GABOR_CONTRAST * np.cos(
+        2 * np.pi * GABOR_SPATIAL_FREQ * x / GABOR_SIZE_PX + GABOR_PHASE
+    )
     np.testing.assert_allclose(img.values[0], grating, atol=1e-9)
 
 
 def test_gabor_energy_monotone_in_mask_scale():
-    params = GaborParams(size_px=64, mask_sigma_px=10.0)
     energies = []
     for scale in (0.5, 1.0, 1.5):
-        v = render_gabor(params, scale).values
+        v = render_gabor(scale).values
         energies.append(float(np.sum(v * v)))  # direct summation oracle
     assert energies[0] < energies[1] < energies[2]
 
 
 def test_rendered_values_in_range():
-    img1 = render_checkerboard(CheckerGeometry(outer_radius_px=25), 1.2).values
-    img2 = render_gabor(GaborParams(size_px=32), 0.7).values
+    img1 = render_checkerboard(1.2).values
+    img2 = render_gabor(0.7).values
     for img in (img1, img2):
         assert img.min() >= -1.0 and img.max() <= 1.0
 
@@ -193,19 +219,19 @@ def test_schedule_json_and_pgm(tmp_path):
     assert len(data["frames"]) == sch.n_frames
     assert data["frames"][1]["t_s"] == 1 / 144.0
 
-    img = render_gabor(GaborParams(size_px=16), 1.0)
+    img = render_gabor(1.0)
     p = tmp_path / "f.pgm"
     write_pgm(img, p)
     raw = p.read_bytes()
-    assert raw.startswith(b"P5\n16 16\n255\n")
-    assert len(raw) == len(b"P5\n16 16\n255\n") + 16 * 16
+    header = b"P5\n256 256\n255\n"
+    assert raw.startswith(header)
+    assert len(raw) == len(header) + 256 * 256
 
 
 def test_write_frame_stack(tmp_path):
     from veplab.stimgen import write_frame_stack
 
-    geom = CheckerGeometry(outer_radius_px=12, fixation_radius_px=2)
-    spec = StimulusSpec("pattern_reversal", 7.2, 144.0, 0.05, geometry=geom)
+    spec = StimulusSpec("pattern_reversal", 7.2, 144.0, 0.05)
     sch = build_frame_schedule(spec)
     n = write_frame_stack(spec, sch, tmp_path / "frames")
     assert n == 7
@@ -215,44 +241,20 @@ def test_write_frame_stack(tmp_path):
 
 
 def test_checkerboard_cached_geometry_matches_fresh():
-    from veplab import stimgen
+    # the per-call formula, with the whole grid evaluated for every frame
+    r, theta = checker_polar()
+    angular = np.sin(ANGULAR_CYCLES * theta)
 
-    def fresh(geom, phase):
-        # the per-call formula, with the whole grid rebuilt for every frame
-        size = 2 * geom.outer_radius_px + 1
-        c = geom.outer_radius_px
-        y, x = np.mgrid[0:size, 0:size].astype(np.float64)
-        x -= c
-        y -= c
-        r = np.hypot(x, y)
-        theta = np.arctan2(y, x)
-        vals = np.sign(
-            np.sin(2 * np.pi * geom.radial_cycles * r / geom.outer_radius_px + phase)
-            * np.sin(geom.angular_cycles * theta)
-        )
-        vals[r > geom.outer_radius_px] = 0.0
-        vals[r < geom.fixation_radius_px] = 1.0
+    def fresh(phase):
+        vals = np.sign(np.sin(2 * np.pi * RADIAL_CYCLES * r / OUTER_RADIUS_PX + phase) * angular)
+        vals[r > OUTER_RADIUS_PX] = 0.0
+        vals[r < FIXATION_RADIUS_PX] = 1.0
         return vals
 
-    geoms = (
-        CheckerGeometry(),  # 513 x 513
-        CheckerGeometry(radial_cycles=3, angular_cycles=8, outer_radius_px=40,
-                        fixation_radius_px=0),
-        CheckerGeometry(radial_cycles=4, angular_cycles=7, outer_radius_px=40,
-                        fixation_radius_px=6),
-        # fixation disk larger than the board: fixation wins over "outside"
-        CheckerGeometry(radial_cycles=2, angular_cycles=5, outer_radius_px=10,
-                        fixation_radius_px=14),
-    )
     sch = build_frame_schedule(StimulusSpec("radial_motion", 8.0, 144.0, 0.5))
     phases = [0.0, np.pi, *sch.values.tolist(), *np.linspace(0.0, np.pi, 200).tolist()]
-    # geometries interleaved per phase, so a cache keyed on anything but the
-    # whole geometry serves one geometry's grid to another
     for phase in phases:
-        for geom in geoms:
-            got = render_checkerboard(geom, phase).values
-            assert np.array_equal(got, fresh(geom, phase)), (geom, phase)
-    assert stimgen._checker_grid.cache_info().maxsize is not None
+        assert np.array_equal(render_checkerboard(phase).values, fresh(phase)), phase
 
 
 @pytest.mark.parametrize("paradigm,freq", [
@@ -263,11 +265,7 @@ def test_write_frame_stack_renders_and_writes_each_frame_once(
 ):
     from veplab import stimgen
 
-    if paradigm == "gabor_pulse":
-        geom = GaborParams(size_px=16)
-    else:
-        geom = CheckerGeometry(outer_radius_px=12, fixation_radius_px=2)
-    spec = StimulusSpec(paradigm, freq, 144.0, 0.1, geometry=geom)
+    spec = StimulusSpec(paradigm, freq, 144.0, 0.1)
     sch = build_frame_schedule(spec)
     rendered, written = [], []
     render, write = stimgen.render_frame, stimgen.write_pgm
@@ -295,9 +293,8 @@ def test_luminance_rejects_nan():
             LuminanceImage(bad)
     for scale in (np.nan, np.inf):
         with pytest.raises(InputError, match="mask_scale"):
-            render_gabor(GaborParams(), scale)
-    params = GaborParams(size_px=16)
-    spec = StimulusSpec("gabor_pulse", 72.0, 144.0, 0.1, geometry=params)
+            render_gabor(scale)
+    spec = StimulusSpec("gabor_pulse", 72.0, 144.0, 0.1)
     with pytest.raises(InputError):
         render_frame(spec, np.nan)
 
@@ -327,8 +324,7 @@ def test_default_frame_allocations_stay_small(tmp_path):
     # return memory to the system and fault it back in on the next frame
     import tracemalloc
 
-    geom = CheckerGeometry()
-    image = render_checkerboard(geom, 1.0)  # builds the cached grid
+    image = render_checkerboard(1.0)  # builds the cached grid
     frame_bytes = image.values.nbytes
 
     def peak(fn):
@@ -340,7 +336,7 @@ def test_default_frame_allocations_stay_small(tmp_path):
             tracemalloc.stop()
 
     assert peak(lambda: write_pgm(image, tmp_path / "f.pgm")) < 1_000_000
-    assert peak(lambda: render_checkerboard(geom, 1.0)) < 1.5 * frame_bytes
+    assert peak(lambda: render_checkerboard(1.0)) < 1.5 * frame_bytes
 
 
 def test_validate_spec_rejects_frame_counts_above_ceiling():
@@ -358,41 +354,32 @@ def test_pulse_depth_keeps_the_mask_width_positive(tmp_path):
     from veplab.stimgen import write_frame_stack
 
     # depth 1 would shrink the mask to zero width at the pulse trough
-    with pytest.raises(InputError, match=r"pulse_depth must be in \[0, 1\)"):
-        GaborParams(pulse_depth=1.0)
-    params = GaborParams(pulse_depth=0.999, size_px=16)
-    spec = StimulusSpec("gabor_pulse", 72.0, 144.0, 0.05, geometry=params)
+    assert 0.0 <= PULSE_DEPTH < 1.0
+    spec = StimulusSpec("gabor_pulse", 72.0, 144.0, 0.05)
     sch = build_frame_schedule(spec)
+    assert sch.values.min() == pytest.approx(1.0 - PULSE_DEPTH) and sch.values.min() > 0
     assert write_frame_stack(spec, sch, tmp_path / "frames") == sch.n_frames == 7
     assert len(list((tmp_path / "frames").iterdir())) == 7
 
 
-@pytest.mark.parametrize("geom", [
-    CheckerGeometry(radial_cycles=3, angular_cycles=8, outer_radius_px=20,
-                    fixation_radius_px=4),
-    CheckerGeometry(radial_cycles=2, angular_cycles=5, outer_radius_px=7,
-                    fixation_radius_px=0),
-    CheckerGeometry(radial_cycles=1, angular_cycles=1, outer_radius_px=1,
-                    fixation_radius_px=1),
-])
-def test_palette_frames_encode_like_their_pixels(tmp_path, geom):
+# level 0.0, byte 128, covers the outside and every pixel whose angular sine
+# is exactly 0 (the centre and the wedge edges on the axes); phases 0 and pi
+# are the ends of the range
+@pytest.mark.parametrize("phase", [0.0, np.pi, 1e-12, np.pi / 2, 2.0, np.pi - 1e-9])
+def test_palette_frames_encode_like_their_pixels(tmp_path, phase):
     from veplab.stimgen import LuminanceImage
 
-    # level 0.0, byte 128, covers the outside and every pixel whose angular
-    # sine is exactly 0 (the centre and the wedge edges on the axes); phases
-    # 0 and pi are the ends of the range
-    for phase in (0.0, np.pi, 1e-12, np.pi / 2, 2.0, np.pi - 1e-9):
-        image = render_checkerboard(geom, phase)
-        assert image.index is not None and image.levels.ndim == 1
-        values = image.values
-        write_pgm(image, tmp_path / "palette.pgm")
-        write_pgm(LuminanceImage(values), tmp_path / "dense.pgm")
-        palette = (tmp_path / "palette.pgm").read_bytes()
-        assert palette == (tmp_path / "dense.pgm").read_bytes()
-        ref = np.round(np.clip((values + 1) * 127.5, 0, 255)).astype(np.uint8)
-        assert (ref == 128).any()
-        size = 2 * geom.outer_radius_px + 1
-        assert palette == f"P5\n{size} {size}\n255\n".encode("ascii") + ref.tobytes()
+    image = render_checkerboard(phase)
+    assert image.index is not None and image.levels.ndim == 1
+    values = image.values
+    write_pgm(image, tmp_path / "palette.pgm")
+    write_pgm(LuminanceImage(values), tmp_path / "dense.pgm")
+    palette = (tmp_path / "palette.pgm").read_bytes()
+    assert palette == (tmp_path / "dense.pgm").read_bytes()
+    ref = np.round(np.clip((values + 1) * 127.5, 0, 255)).astype(np.uint8)
+    assert (ref == 128).any()
+    size = 2 * OUTER_RADIUS_PX + 1
+    assert palette == f"P5\n{size} {size}\n255\n".encode("ascii") + ref.tobytes()
 
 
 def test_luminance_image_rejects_malformed_palettes():
