@@ -19,7 +19,7 @@ scipy is imported inside the functions that call it, so importing this module
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -201,10 +201,4 @@ def suppress_artifacts(rec: Recording) -> Recording:
         start = stop
     if not changed:
         return rec
-    return Recording(
-        sample_rate_hz=fs,
-        layout=rec.layout,
-        samples=out,
-        t0=rec.t0,
-        times_s=rec.times_s,
-    )
+    return replace(rec, samples=out)

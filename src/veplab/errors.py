@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-number check."""
+
+import math
 
 
 class VeplabError(Exception):
@@ -15,3 +17,13 @@ class ParseError(InputError):
 
 class DegenerateDataError(VeplabError):
     """Numerically degenerate input (zero variance, zero error term, ...)."""
+
+
+def check_finite_fields(obj, positive=(), non_negative=()) -> None:
+    """Each named field of obj must be finite and > 0 (positive) or >= 0."""
+    for name in (*positive, *non_negative):
+        value = getattr(obj, name)
+        strict = name in positive
+        if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
+            op = ">" if strict else ">="
+            raise InputError(f"{name} must be finite and {op} 0, got {value}")

@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, check_finite_fields
 
 MARKER_BASELINE = "baseline_start"
 MARKER_ONSET = "trial_onset"
@@ -82,11 +82,6 @@ def json_value(obj: dict, key: str, kind, where: str, item=None, required=True):
     return value
 
 
-def _check_sample_rate(fs: float) -> None:
-    if not 0 < fs < math.inf:
-        raise InputError(f"sample_rate_hz must be finite and > 0, got {fs}")
-
-
 @dataclass(frozen=True)
 class ChannelLayout:
     """Ordered channel labels."""
@@ -128,7 +123,7 @@ class Recording:
                 f"samples have {samples.shape[0]} rows but layout has "
                 f"{len(self.layout)} channels"
             )
-        _check_sample_rate(self.sample_rate_hz)
+        check_finite_fields(self, positive=("sample_rate_hz",))
         if not np.all(np.isfinite(samples)):
             raise InputError("recording samples must be finite")
         object.__setattr__(self, "samples", _readonly(samples))
@@ -148,10 +143,6 @@ class Recording:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
-
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate_hz
 
     def times(self) -> np.ndarray:
         if self.times_s is not None:
@@ -202,32 +193,16 @@ class TrialEpoch:
     onset_s: float
 
     def __post_init__(self):
-        if self.target_freq_hz <= 0:
-            raise InputError(f"target_freq_hz must be > 0, got {self.target_freq_hz}")
-        _check_sample_rate(self.sample_rate_hz)
+        check_finite_fields(self, positive=("target_freq_hz", "sample_rate_hz"))
         samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
         object.__setattr__(self, "samples", _readonly(samples))
-
-    @property
-    def n_channels(self) -> int:
-        return self.samples.shape[0]
 
     @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate_hz
-
     def replace_samples(self, samples: np.ndarray) -> "TrialEpoch":
-        return TrialEpoch(
-            condition=self.condition,
-            target_freq_hz=self.target_freq_hz,
-            samples=samples,
-            sample_rate_hz=self.sample_rate_hz,
-            onset_s=self.onset_s,
-        )
+        return replace(self, samples=samples)
 
 
 def _fmt(x: float) -> str:
@@ -392,12 +367,10 @@ def derive_virtual_channel(
         raise InputError(f"channel name {new_name!r} already in use")
     idx = [rec.layout.index(s) for s in sources]
     virt = rec.samples[idx].mean(axis=0)
-    return Recording(
-        sample_rate_hz=rec.sample_rate_hz,
+    return replace(
+        rec,
         layout=ChannelLayout(rec.layout.names + (new_name,)),
         samples=np.vstack([rec.samples, virt[None, :]]),
-        t0=rec.t0,
-        times_s=rec.times_s,
     )
 
 

@@ -138,7 +138,6 @@ class SubjectTaskResult:
     subject: str
     task: int
     paradigm: str
-    analysis_channel: str
     trials: list[TrialOutcome]
     offset_decisions: list[Decision] = field(default_factory=list)
 
@@ -147,10 +146,6 @@ class SubjectTaskResult:
         for tr in self.trials:
             by.setdefault(tr.true_hz, []).append(tr.snr_db_target)
         return {f: float(np.mean(v)) for f, v in sorted(by.items())}
-
-    def snr_db_mean(self) -> float:
-        per = self.per_target_snr_db()
-        return float(np.mean(list(per.values())))
 
     def accuracy(self) -> tuple[float, dict[float, float]]:
         detection = bool(
@@ -226,6 +221,13 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
         raise InputError("config must carry recording_path and markers_path")
     rec = _staged("load", None, load_recording, cfg.recording_path)
     markers = _staged("load", None, load_markers, cfg.markers_path)
+    for prefix in (MARKER_ONSET, MARKER_OFFSET):
+        for t, paradigm, freq in markers.with_prefix(prefix):
+            if paradigm != cfg.paradigm or freq not in cfg.targets_hz:
+                raise InputError(
+                    f"{cfg.markers_path}: marker at {t} s names {paradigm} at {freq!r} Hz,"
+                    f" but task {cfg.task} is {cfg.paradigm} at {list(cfg.targets_hz)} Hz"
+                )
     rec, channel = _analysis_channel(rec)
     # Artifact suppression runs on the continuous recording: its calibration
     # needs >= 10 s of data, which no single trial epoch can provide.
@@ -296,7 +298,6 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
         subject=subject,
         task=cfg.task,
         paradigm=cfg.paradigm,
-        analysis_channel=channel,
         trials=trials,
         offset_decisions=offset_decisions,
     )
@@ -308,7 +309,8 @@ def _round4(x: float) -> float:
 
 def _row_from_result(result: SubjectTaskResult, fatigue: float | None) -> dict:
     overall, per_target = result.accuracy()
-    for f, snr_db in result.per_target_snr_db().items():
+    per_target_snr = result.per_target_snr_db()
+    for f, snr_db in per_target_snr.items():
         if not math.isfinite(snr_db):
             raise DegenerateDataError(
                 f"subject {result.subject}, task {result.task}: SNR at target "
@@ -316,11 +318,11 @@ def _row_from_result(result: SubjectTaskResult, fatigue: float | None) -> dict:
             )
     return {
         "subject": result.subject,
-        "snr_db": _round4(result.snr_db_mean()),
+        "snr_db": _round4(np.mean(list(per_target_snr.values()))),
         "accuracy_pct": _round4(100.0 * overall),
         "fatigue": None if fatigue is None else _round4(fatigue),
         "per_target_snr_db": {
-            repr(f): _round4(v) for f, v in result.per_target_snr_db().items()
+            repr(f): _round4(v) for f, v in per_target_snr.items()
         },
         "per_target_accuracy_pct": {
             repr(f): _round4(100.0 * v) for f, v in sorted(per_target.items())

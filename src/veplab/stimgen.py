@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_finite_fields
 
 PATTERN_REVERSAL = "pattern_reversal"
 RADIAL_MOTION = "radial_motion"
@@ -165,10 +165,7 @@ def validate_spec(spec: StimulusSpec) -> None:
     """
     if spec.paradigm not in PARADIGMS:
         raise InputError(f"unknown paradigm {spec.paradigm!r}; expected {PARADIGMS}")
-    for name in ("refresh_rate_hz", "duration_s", "stim_freq_hz"):
-        value = getattr(spec, name)
-        if not (math.isfinite(value) and value > 0):
-            raise InputError(f"{name} must be finite and > 0, got {value}")
+    check_finite_fields(spec, positive=("refresh_rate_hz", "duration_s", "stim_freq_hz"))
     n_frames = spec.duration_s * spec.refresh_rate_hz
     if not (math.isfinite(n_frames) and round(n_frames) >= 1):
         raise InputError(

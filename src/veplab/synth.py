@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_finite_fields
 from .model import (
     MARKER_BASELINE,
     MARKER_OFFSET,
@@ -59,16 +59,11 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in (
-            "evoked_amp_uV",
-            "pink_noise_uV",
-            "line_amp_uV",
-            "artifact_rate_per_min",
-            "artifact_amp_uV",
-            "seed",
-        ):
-            if getattr(self, name) < 0:
-                raise InputError(f"{name} must be >= 0")
+        check_finite_fields(self, non_negative=(
+            "evoked_amp_uV", "pink_noise_uV", "line_amp_uV", "artifact_rate_per_min",
+            "artifact_amp_uV"))
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.harmonic_decay <= 1.0:
             raise InputError("harmonic_decay must be in [0, 1]")
         if self.n_harmonics < 1:
@@ -79,16 +74,6 @@ class SynthConfig:
     @property
     def channel_names(self) -> tuple[str, ...]:
         return tuple(self.channel_gains)
-
-
-def _check_finite_fields(obj, positive=(), non_negative=()) -> None:
-    """Each named field of obj must be finite and > 0 (positive) or >= 0."""
-    for name in (*positive, *non_negative):
-        value = getattr(obj, name)
-        strict = name in positive
-        if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
-            op = ">" if strict else ">="
-            raise InputError(f"{name} must be finite and {op} 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +97,7 @@ class TaskProtocol:
             raise InputError(
                 f"trials_per_target must be >= 1, got {self.trials_per_target}"
             )
-        _check_finite_fields(self, positive=("trial_s",), non_negative=("rest_s",))
+        check_finite_fields(self, positive=("trial_s",), non_negative=("rest_s",))
 
     @property
     def n_trials(self) -> int:
@@ -132,7 +117,7 @@ class SynthProtocol:
             raise InputError("tasks must hold at least one task")
         if self.n_subjects < 1:
             raise InputError(f"n_subjects must be >= 1, got {self.n_subjects}")
-        _check_finite_fields(
+        check_finite_fields(
             self, positive=("fs_hz",), non_negative=("baseline_s", "lead_out_s")
         )
 
@@ -214,6 +199,15 @@ def _segment(
     return data
 
 
+def _check_harmonics(cfg: SynthConfig, fs_hz: float, targets_hz) -> None:
+    """Every evoked harmonic of every target must lie below fs_hz / 2."""
+    if any(fs_hz <= 2 * cfg.n_harmonics * f for f in targets_hz):
+        raise InputError(
+            f"fs {fs_hz} Hz cannot represent {cfg.n_harmonics} harmonics of "
+            f"targets {targets_hz}"
+        )
+
+
 def synth_trial(
     cfg: SynthConfig,
     target_freq_hz: float,
@@ -224,13 +218,7 @@ def synth_trial(
     """One stimulation trial; pass seed_key to vary trials under one config."""
     if duration_s <= 0:
         raise InputError(f"duration_s must be > 0, got {duration_s}")
-    if target_freq_hz <= 0:
-        raise InputError("target_freq_hz must be > 0")
-    if fs_hz <= 2 * cfg.n_harmonics * target_freq_hz:
-        raise InputError(
-            f"fs {fs_hz} Hz cannot represent {cfg.n_harmonics} harmonics of "
-            f"{target_freq_hz} Hz"
-        )
+    _check_harmonics(cfg, fs_hz, (target_freq_hz,))
     rng = _rng_for(cfg, seed_key)
     data = _segment(cfg, rng, target_freq_hz, duration_s, fs_hz)
     return TrialEpoch(
@@ -247,32 +235,28 @@ def _subject_task_files(
 ) -> tuple[Recording, MarkerStream, list[dict]]:
     task = protocol.tasks[task_idx]
     fs = protocol.fs_hz
-    if any(
-        fs <= 2 * cfg.n_harmonics * f for f in task.targets_hz
-    ):
-        raise InputError(
-            f"fs {fs} Hz cannot represent {cfg.n_harmonics} harmonics of targets "
-            f"{task.targets_hz}"
-        )
+    _check_harmonics(cfg, fs, task.targets_hz)
     order_rng = _rng_for(cfg, (subject, task_idx))
     targets = np.repeat(task.targets_hz, task.trials_per_target)
     order_rng.shuffle(targets)
 
-    segments = []
     events: list[tuple[float, str]] = [(0.0, MARKER_BASELINE)]
     trials_meta = []
     rng_base = _rng_for(cfg, (subject, task_idx, 0, 0))
-    segments.append(_segment(cfg, rng_base, None, protocol.baseline_s, fs))
-    period = task.trial_s + task.rest_s
+    segments = [_segment(cfg, rng_base, None, protocol.baseline_s, fs)]
+    # a marker sits on its segment's first sample; summing seconds would drift
+    n_written = segments[0].shape[1]
     for k, f in enumerate(targets.tolist()):
-        onset = protocol.baseline_s + k * period
+        onset = n_written / fs
         rng_stim = _rng_for(cfg, (subject, task_idx, k + 1, 1))
         segments.append(_segment(cfg, rng_stim, f, task.trial_s, fs))
+        n_written += segments[-1].shape[1]
         events.append((onset, f"{MARKER_ONSET}:{task.paradigm}:{f!r}"))
         trials_meta.append({"onset_s": onset, "target_hz": f})
-        events.append((onset + task.trial_s, f"{MARKER_OFFSET}:{task.paradigm}:{f!r}"))
+        events.append((n_written / fs, f"{MARKER_OFFSET}:{task.paradigm}:{f!r}"))
         rng_rest = _rng_for(cfg, (subject, task_idx, k + 1, 2))
         segments.append(_segment(cfg, rng_rest, None, task.rest_s, fs))
+        n_written += segments[-1].shape[1]
     rng_out = _rng_for(cfg, (subject, task_idx, len(targets) + 1, 3))
     segments.append(_segment(cfg, rng_out, None, protocol.lead_out_s, fs))
 

@@ -64,6 +64,9 @@ def test_trial_epoch_rejects_non_finite_rate():
     for fs in (np.nan, np.inf, 0.0):
         with pytest.raises(InputError, match="sample_rate_hz must be finite and > 0"):
             TrialEpoch("x", 8.0, np.zeros((1, 4)), fs, 0.0)
+    for freq in (np.nan, np.inf, 0.0, -8.0):
+        with pytest.raises(InputError, match="target_freq_hz must be finite and > 0"):
+            TrialEpoch("x", freq, np.zeros((1, 4)), 500.0, 0.0)
 
 
 def test_load_small_csv(tmp_path):
@@ -199,6 +202,12 @@ def test_derive_virtual_channel_mean():
     assert out.layout.names == ("Pz", "Oz", "POz")
     # originals untouched
     np.testing.assert_array_equal(out.samples[:2], rec.samples)
+    # the time axis carries over, loaded timestamps included
+    timed = Recording(500.0, rec.layout, rec.samples, t0=3.0, times_s=[3.0, 3.002])
+    out = derive_virtual_channel(timed, "POz", ["Pz", "Oz"])
+    assert out.t0 == 3.0
+    np.testing.assert_array_equal(out.times(), [3.0, 3.002])
+    assert out.sample_rate_hz == 500.0
 
 
 def test_derive_single_source_is_copy():

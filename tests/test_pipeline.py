@@ -396,18 +396,21 @@ def test_synth_config_reads_every_protocol_field(tmp_path):
 
 def test_non_finite_snr_is_degenerate_not_nan(tiny_dataset, tmp_path, capsys):
     # a 0.6 Hz target lies far below the radial-motion analysis band, so its
-    # SNR is 0/0; the report must not carry the NaN
+    # SNR is 0/0; the report must not carry the NaN. The manifest and the
+    # markers both name the 0.6 Hz target, so the two agree.
     out, manifest = tiny_dataset
-    task = manifest["subjects"][0]["tasks"][0]
+    task = dict(manifest["subjects"][0]["tasks"][0], targets=[0.6, 12.0, 16.0])
     markers = tmp_path / "markers.csv"
     markers.write_text((out / task["markers"]).read_text().replace(":8.0", ":0.6"))
+    task.update(recording=str(out / task["recording"]), markers=str(markers))
+    dataset = tmp_path / "manifest.json"
+    dataset.write_text(json.dumps({"subjects": [{"id": "S1", "tasks": [task]}]}))
     report = tmp_path / "r.json"
-    argv = ["analyze", "--recording", str(out / task["recording"]),
-            "--markers", str(markers), "--task", "2", "--out", str(report)]
+    argv = ["analyze", "--dataset", str(dataset), "--out", str(report)]
     capsys.readouterr()
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert all(n in err for n in ("subject sub01", "task 2", "0.6 Hz")), err
+    assert all(n in err for n in ("subject S1", "task 1", "0.6 Hz")), err
     assert not report.exists()
     with pytest.raises(ValueError):
         Report(tasks=[{"rows": [{"snr_db": float("nan")}]}]).to_json()
@@ -663,3 +666,36 @@ def test_epoch_too_short_to_band_pass_is_an_input_error(tmp_path, capsys):
              "epoch of 25 samples is too short to band-pass; need > 27"]
     assert all(n in err for n in named), err
     assert not report.exists()
+
+
+def test_markers_contradicting_the_task_are_an_input_error(tiny_dataset, tmp_path, capsys):
+    # markers of another paradigm or target would be decoded against the
+    # wrong references, scored near 0 % and reported under the task's label
+    out, manifest = tiny_dataset
+    for paradigm, targets, mismatch in (
+        ("pattern_reversal", [7.2, 9.0, 14.0], "marker at 10.0 s names radial_motion"),
+        ("radial_motion", [8.0, 12.0, 15.0], "s names radial_motion at 16.0 Hz"),
+    ):
+        edited = json.loads(json.dumps(manifest))
+        for subject in edited["subjects"]:
+            for task in subject["tasks"]:
+                for key in ("recording", "markers"):
+                    task[key] = str(out / task[key])
+        edited["subjects"][0]["tasks"][0].update(paradigm=paradigm, targets=targets)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(edited))
+        capsys.readouterr()
+        assert main(["analyze", "--dataset", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        named = ["subject S1, task 1", "sub01_task1_markers.csv: marker at ", mismatch]
+        assert all(n in err for n in named), err
+    # the single-recording path: task 1 of the default protocol is pattern
+    # reversal, the recording's task is radial motion
+    markers = str(out / "sub01_task1_markers.csv")
+    assert main(["analyze", "--recording", str(out / "sub01_task1_recording.csv"),
+                 "--markers", markers, "--task", "1",
+                 "--out", str(tmp_path / "one.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{markers}: marker at 10.0 s names radial_motion" in err, err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "one.json").exists()

@@ -225,6 +225,49 @@ def test_synth_protocol_rejects_invalid_field(field, value):
         SynthProtocol(**dict(base, **{field: value}))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (field, value)
+        for field in (
+            "evoked_amp_uV", "pink_noise_uV", "line_amp_uV", "artifact_rate_per_min",
+            "artifact_amp_uV",
+        )
+        for value in (-1.0, float("nan"), float("inf"))
+    ]
+    + [("seed", -1)],
+)
+def test_synth_config_rejects_invalid_field(field, value):
+    with pytest.raises(InputError, match=field):
+        SynthConfig(**{field: value})
+
+
+def test_markers_sit_on_their_segment_starts(tmp_path):
+    # 1.001 s at 500 Hz is 500.5 samples: each trial and rest segment is
+    # cut to a whole number of samples, and every marker must stay on the
+    # first sample of its segment instead of drifting by a sample a trial
+    fs = 500.0
+    protocol = SynthProtocol(
+        tasks=(TaskProtocol("radial_motion", (8.0, 12.0), 3, trial_s=1.001, rest_s=1.001),),
+        n_subjects=1,
+        fs_hz=fs,
+        baseline_s=2.0,
+        lead_out_s=1.0,
+    )
+    manifest = synth_dataset(SynthConfig(seed=2), protocol, tmp_path)
+    task = manifest["subjects"][0]["tasks"][0]
+    markers = load_markers(tmp_path / task["markers"])
+    n_base, n_trial = round(2.0 * fs), round(1.001 * fs)
+    starts = n_base + 2 * n_trial * np.arange(6)
+    for prefix, first in (("trial_onset", starts), ("trial_offset", starts + n_trial)):
+        times = np.array([t for t, _, _ in markers.with_prefix(prefix)])
+        np.testing.assert_allclose(times * fs, first, rtol=0, atol=1e-9)
+    onsets = [t["onset_s"] for t in task["trials"]]
+    assert onsets == [t for t, _, _ in markers.with_prefix("trial_onset")]
+    rec = load_recording(tmp_path / task["recording"])
+    assert rec.n_samples == starts[-1] + 2 * n_trial + round(1.0 * fs)
+
+
 def _recorded_dataset(tmp_path, monkeypatch):
     """One subject's recordings as written, and the unrounded assembly of
     each: the _segment outputs in the order the recording concatenates them."""
