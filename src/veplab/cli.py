@@ -13,14 +13,14 @@ import sys
 from dataclasses import MISSING, fields, replace
 
 from .decode import Decision
-from .errors import DegenerateDataError, InputError
+from .errors import DegenerateDataError, InputError, check_finite, located
 from .model import json_value
 from .pipeline import (
     PipelineConfig,
     Report,
     analyze_dataset,
     analyze_recording,
-    checked_line_freq,
+    check_task_rows,
     config_for_task,
     emit_report,
     result_report,
@@ -101,10 +101,8 @@ def _load_synth_config(path) -> tuple[SynthConfig, SynthProtocol | None]:
         raise InputError(f"{path}: not valid JSON: {exc}") from None
     proto_raw = raw.pop("protocol", None) if isinstance(raw, dict) else None
     values = _json_fields(path, SynthConfig, raw)
-    try:
+    with located(path):
         cfg = SynthConfig(**values)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
     if proto_raw is None:
         return cfg, None
     proto = _json_fields(f"{path}: protocol", SynthProtocol, proto_raw, tasks=list)
@@ -115,14 +113,10 @@ def _load_synth_config(path) -> tuple[SynthConfig, SynthProtocol | None]:
             paradigm=str, targets_hz=list, trials_per_target=int,
         )
         task["targets_hz"] = tuple(float(f) for f in task["targets_hz"])
-        try:
+        with located(f"{path}: protocol task {k}"):
             tasks.append(TaskProtocol(**task))
-        except InputError as exc:
-            raise InputError(f"{path}: protocol task {k}: {exc}") from None
-    try:
+    with located(f"{path}: protocol"):
         return cfg, SynthProtocol(**dict(proto, tasks=tuple(tasks)))
-    except InputError as exc:
-        raise InputError(f"{path}: protocol: {exc}") from None
 
 
 def _cmd_synth(args) -> int:
@@ -175,12 +169,10 @@ def _cmd_analyze(args) -> int:
             raise InputError(
                 "analyze needs either --dataset or --recording/--markers/--task"
             )
-        line_freq_hz = PipelineConfig.line_freq_hz
-        if args.line_freq is not None:
-            line_freq_hz = checked_line_freq(args.line_freq, "--line-freq")
+        line_freq = PipelineConfig.line_freq_hz if args.line_freq is None else args.line_freq
         cfg = config_for_task(
             args.task, recording_path=args.recording, markers_path=args.markers,
-            line_freq_hz=line_freq_hz,
+            line_freq_hz=check_finite("--line-freq", line_freq),
         )
         result = analyze_recording(cfg)
         if args.decisions:
@@ -198,6 +190,8 @@ def _report_tasks(path, data: dict) -> list[dict]:
     for t in tasks:
         task = json_value(t, "task", int, path)
         where = f"{path}: task {task}"
+        json_value(t, "paradigm", str, where)
+        json_value(t, "targets", list, where, item=float)
         for k, row in enumerate(json_value(t, "rows", list, where, item=dict)):
             subject = json_value(row, "subject", str, f"{where}, row {k}")
             at = f"{where}, subject {subject}"
@@ -226,23 +220,16 @@ def _cmd_stats(args) -> int:
                 reports.append((path, _report_tasks(path, data)))
     if not reports:
         raise InputError(f"no report JSON files found in {args.reports}")
+    # a second copy of a subject would count as one more subject, and a task
+    # defined two ways would pool two conditions
+    check_task_rows(
+        (path, t["task"], t["paradigm"], t["targets"], row["subject"])
+        for path, tasks in reports for t in tasks for row in t["rows"]
+    )
     merged: dict[int, dict] = {}
-    # the report each (task, subject) row came from; a second copy of a
-    # subject would count as one more subject
-    held: dict[tuple[int, str], str] = {}
     for path, tasks in reports:
         for t in tasks:
-            task = int(t["task"])
-            entry = merged.setdefault(task, dict(t, rows=[]))
-            for row in t["rows"]:
-                key = (task, row["subject"])
-                if key in held:
-                    raise InputError(
-                        f"task {task}, subject {row['subject']} appears in "
-                        f"{held[key]} and again in {path}"
-                    )
-                held[key] = path
-            entry["rows"].extend(t["rows"])
+            merged.setdefault(t["task"], dict(t, rows=[]))["rows"].extend(t["rows"])
     combined = Report(tasks=[merged[k] for k in sorted(merged)])
     out = stats_report(combined, test=args.test, metric=args.metric)
     text = json.dumps(out, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -304,10 +291,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegenerateDataError as exc:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, ParseError, check_finite_fields
+from .errors import InputError, ParseError, check_finite, check_finite_fields
 
 MARKER_BASELINE = "baseline_start"
 MARKER_ONSET = "trial_onset"
@@ -112,7 +112,6 @@ class Recording:
     sample_rate_hz: float
     layout: ChannelLayout
     samples: np.ndarray
-    t0: float = 0.0
     # Timestamps as loaded from file, kept verbatim so save(load(f)) == f.
     times_s: np.ndarray | None = None
 
@@ -144,10 +143,15 @@ class Recording:
     def n_samples(self) -> int:
         return self.samples.shape[1]
 
+    @property
+    def t0(self) -> float:
+        """Time of the first sample: the first timestamp, 0.0 without them."""
+        return float(self.times_s[0]) if self.times_s is not None and self.n_samples else 0.0
+
     def times(self) -> np.ndarray:
         if self.times_s is not None:
             return self.times_s
-        return self.t0 + np.arange(self.n_samples) / self.sample_rate_hz
+        return np.arange(self.n_samples) / self.sample_rate_hz
 
     def channel(self, name: str) -> np.ndarray:
         return self.samples[self.layout.index(name)]
@@ -319,7 +323,6 @@ def load_recording(path) -> Recording:
             layout=ChannelLayout(names),
             # the channels x samples view of a samples x channels array
             samples=np.ascontiguousarray(table[:, 1:]).T,
-            t0=float(tarr[0]),
             times_s=tarr,
         )
     except InputError as exc:
@@ -385,8 +388,7 @@ def extract_epochs(
 
     Raises if any window falls outside the recording, listing the marker time.
     """
-    if not length_s > 0:
-        raise InputError(f"epoch length must be > 0, got {length_s}")
+    check_finite("epoch length", length_s)
     fs = rec.sample_rate_hz
     # capped so round() never meets an overflowed product; a capped index
     # lies outside the recording and fails the bounds check

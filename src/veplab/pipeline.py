@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,7 @@ from .decode import (
     make_references,
 )
 from .dsp import BandpassSpec, bandpass, remove_line_noise, suppress_artifacts
-from .errors import DegenerateDataError, InputError
+from .errors import DegenerateDataError, InputError, check_finite, located
 from .model import (
     MARKER_OFFSET,
     MARKER_ONSET,
@@ -95,17 +94,6 @@ def _paradigm_config(task: int, paradigm: str, targets_hz, **fields) -> Pipeline
         band=BandpassSpec(*PARADIGM_BANDS[paradigm]),
         **fields,
     )
-
-
-def checked_line_freq(value, where: str) -> float:
-    """A mains frequency as a float once it is a finite number > 0; errors
-    name where."""
-    # bounded by the largest float: a JSON integer past it compares below inf
-    if isinstance(value, bool) or not (
-        isinstance(value, (int, float)) and 0 < value <= sys.float_info.max
-    ):
-        raise InputError(f"{where} must be a finite number > 0, got {value!r}")
-    return float(value)
 
 
 def config_for_task(
@@ -177,11 +165,8 @@ def _analysis_channel(rec: Recording) -> tuple[Recording, str]:
 
 
 def _staged(stage: str, trial: int | None, fn, *args, **kwargs):
-    try:
+    with located(f"stage {stage}" + ("" if trial is None else f", trial {trial}")):
         return fn(*args, **kwargs)
-    except (InputError, DegenerateDataError) as exc:
-        where = f"stage {stage}" + ("" if trial is None else f", trial {trial}")
-        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _preprocess(epoch: TrialEpoch, cfg: PipelineConfig, trial: int) -> TrialEpoch:
@@ -353,10 +338,21 @@ class Report:
         body = {"tasks": self.tasks}
         return json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
+    def subjects(self) -> list[str]:
+        """Row subjects, once every task holds the same ones in the same order."""
+        subjects = [r["subject"] for r in self.tasks[0]["rows"]] if self.tasks else []
+        for t in self.tasks:
+            have = [r["subject"] for r in t["rows"]]
+            if not have:
+                raise InputError(f"task {t['task']} has no subject rows")
+            if have != subjects:
+                raise InputError(f"task {t['task']} has subjects {have}, expected {subjects}")
+        return subjects
+
     def to_markdown(self) -> str:
         if not self.tasks:
             raise InputError("cannot render an empty report")
-        subjects = [r["subject"] for r in self.tasks[0]["rows"]]
+        subjects = self.subjects()
         head = ["Subject"]
         for t in self.tasks:
             head += [
@@ -405,11 +401,23 @@ def result_report(
     return Report(tasks=[_task_entry(cfg, [_row_from_result(result, fatigue)])])
 
 
-def _vasf_score(items, where: str, baseline=None) -> vstats.VasfScore:
-    try:
-        return vstats.score_vasf(items, baseline=baseline)
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from None
+def check_task_rows(rows) -> None:
+    """One definition per task number, one row per (task, subject); rows
+    yields (source, task, paradigm, targets, subject). Errors name both
+    sources at fault."""
+    defined: dict[int, tuple[str, str]] = {}
+    held: dict[tuple[int, str], str] = {}
+    for source, task, paradigm, targets, subject in rows:
+        stimuli = f"{paradigm} at {[float(f) for f in targets]} Hz"
+        first, by = defined.setdefault(task, (stimuli, f"subject {subject} in {source}"))
+        if stimuli != first:
+            raise InputError(
+                f"task {task} is {first} for {by}, but {stimuli} for subject {subject} in {source}"
+            )
+        if (task, subject) in held:
+            raise InputError(f"task {task}, subject {subject} appears in "
+                             f"{held[task, subject]} and again in {source}")
+        held[task, subject] = source
 
 
 def _manifest_entries(manifest_path: str) -> list[tuple[PipelineConfig, float | None]]:
@@ -432,10 +440,11 @@ def _manifest_entries(manifest_path: str) -> list[tuple[PipelineConfig, float | 
         raise InputError(f"{manifest_path}: top level must be a JSON object")
     # the mains frequency synth wrote into the data; 50 Hz when not recorded
     config = json_value(manifest, "config", dict, manifest_path, required=False) or {}
-    line_freq_hz = checked_line_freq(
-        config.get("line_freq_hz", PipelineConfig.line_freq_hz),
-        f"{manifest_path}: config.line_freq_hz",
-    )
+    config = {"line_freq_hz": PipelineConfig.line_freq_hz, **config}
+    line_freq_hz = float(check_finite(
+        f"{manifest_path}: config: line_freq_hz",
+        json_value(config, "line_freq_hz", float, f"{manifest_path}: config"),
+    ))
     entries: list[tuple[PipelineConfig, float | None]] = []
     for subj in json_value(manifest, "subjects", list, manifest_path, item=dict):
         sid = json_value(subj, "id", str, f"{manifest_path}: subject")
@@ -445,7 +454,8 @@ def _manifest_entries(manifest_path: str) -> list[tuple[PipelineConfig, float | 
         )
         baseline = None
         if baseline_items is not None:
-            baseline = _vasf_score(baseline_items, f"{where}, vasf_baseline_items")
+            with located(f"{where}, vasf_baseline_items"):
+                baseline = vstats.score_vasf(baseline_items)
         for task_entry in json_value(subj, "tasks", list, where, item=dict):
             task = json_value(task_entry, "task", int, where)
             at = f"{where}, task {task}"
@@ -474,8 +484,12 @@ def _manifest_entries(manifest_path: str) -> list[tuple[PipelineConfig, float | 
                 task_entry, "vasf_items", list, at, item=float, required=False
             )
             if items is not None and baseline is not None:
-                fatigue = _vasf_score(items, f"{at}, vasf_items", baseline).fatigue
+                with located(f"{at}, vasf_items"):
+                    fatigue = vstats.score_vasf(items, baseline).fatigue
             entries.append((cfg, fatigue))
+    check_task_rows(
+        (manifest_path, c.task, c.paradigm, c.targets_hz, c.subject) for c, _ in entries
+    )
     return entries
 
 
@@ -483,14 +497,11 @@ def analyze_dataset(manifest_path) -> Report:
     """Analyze every subject/task pair listed in a synthetic-dataset manifest."""
     by_task: dict[int, tuple[PipelineConfig, list[dict]]] = {}
     for cfg, fatigue in _manifest_entries(str(manifest_path)):
-        try:
+        with located(
+            f"{manifest_path}: subject {cfg.subject}, task {cfg.task}, "
+            f"recording {os.path.basename(cfg.recording_path)}"
+        ):
             result = analyze_recording(cfg)
-        except (InputError, DegenerateDataError) as exc:
-            where = (
-                f"{manifest_path}: subject {cfg.subject}, task {cfg.task}, "
-                f"recording {os.path.basename(cfg.recording_path)}"
-            )
-            raise type(exc)(f"{where}: {exc}") from exc
         row = _row_from_result(result, fatigue)
         by_task.setdefault(cfg.task, (cfg, []))[1].append(row)
     return Report(tasks=[_task_entry(*by_task[t]) for t in sorted(by_task)])
@@ -520,14 +531,8 @@ def condition_matrix(report: Report, metric: str = "snr") -> tuple[list[str], np
         raise InputError(f"unknown metric {metric!r}")
     names: list[str] = []
     columns: list[list[float]] = []
-    subjects = [r["subject"] for r in report.tasks[0]["rows"]] if report.tasks else []
+    report.subjects()  # repeated measures: every task holds the same subjects, in order
     for t in report.tasks:
-        have = [r["subject"] for r in t["rows"]]
-        if not have:
-            raise InputError(f"task {t['task']} has no subject rows")
-        # repeated measures: every condition holds the same subjects, in order
-        if have != subjects:
-            raise InputError(f"task {t['task']} has subjects {have}, expected {subjects}")
         if metric == "fatigue":
             vals = [r["fatigue"] for r in t["rows"]]
             if any(v is None for v in vals):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_finite_fields
+from .errors import InputError, check_finite, check_finite_fields
 
 PATTERN_REVERSAL = "pattern_reversal"
 RADIAL_MOTION = "radial_motion"
@@ -152,8 +152,7 @@ def radial_phase(t, f_c: float):
     phi(t) = pi/2 + (pi/2) * sin(2*pi*f_c*t - pi/2), always in [0, pi];
     phi sweeps 0 -> pi (contraction) then back (expansion) once per 1/f_c.
     """
-    if f_c <= 0:
-        raise InputError(f"motion frequency must be > 0, got {f_c}")
+    check_finite("motion frequency", f_c)
     return np.pi / 2 + (np.pi / 2) * np.sin(2 * np.pi * f_c * np.asarray(t) - np.pi / 2)
 
 
@@ -270,8 +269,7 @@ def render_checkerboard(phase: float) -> LuminanceImage:
 
 def render_gabor(mask_scale: float) -> LuminanceImage:
     """Gabor patch with the Gaussian mask width scaled by mask_scale."""
-    if not (math.isfinite(mask_scale) and mask_scale > 0):
-        raise InputError(f"mask_scale must be finite and > 0, got {mask_scale}")
+    check_finite("mask_scale", mask_scale)
     size = GABOR_SIZE_PX
     coords = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     x = coords[None, :]

@@ -13,13 +13,12 @@ step with a short decimal form. synth_trial returns unrounded samples.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import InputError, check_finite_fields
+from .errors import InputError, check_finite, check_finite_fields
 from .model import (
     MARKER_BASELINE,
     MARKER_OFFSET,
@@ -87,12 +86,10 @@ class TaskProtocol:
     def __post_init__(self):
         if self.paradigm not in PARADIGMS:
             raise InputError(f"paradigm must be one of {PARADIGMS}, got {self.paradigm!r}")
-        if not self.targets_hz or not all(
-            math.isfinite(f) and f > 0 for f in self.targets_hz
-        ):
-            raise InputError(
-                f"targets_hz must be one or more finite numbers > 0, got {self.targets_hz}"
-            )
+        if not self.targets_hz:
+            raise InputError("targets_hz must hold at least one target")
+        for f in self.targets_hz:
+            check_finite("targets_hz", f)
         if self.trials_per_target < 1:
             raise InputError(
                 f"trials_per_target must be >= 1, got {self.trials_per_target}"
@@ -216,8 +213,8 @@ def synth_trial(
     seed_key: tuple[int, ...] = (),
 ) -> TrialEpoch:
     """One stimulation trial; pass seed_key to vary trials under one config."""
-    if duration_s <= 0:
-        raise InputError(f"duration_s must be > 0, got {duration_s}")
+    check_finite("duration_s", duration_s)
+    check_finite("fs_hz", fs_hz)
     _check_harmonics(cfg, fs_hz, (target_freq_hz,))
     rng = _rng_for(cfg, seed_key)
     data = _segment(cfg, rng, target_freq_hz, duration_s, fs_hz)
@@ -270,7 +267,6 @@ def _subject_task_files(
         sample_rate_hz=fs,
         layout=ChannelLayout(cfg.channel_names),
         samples=samples,
-        t0=0.0,
     )
     return rec, MarkerStream(tuple(events)), trials_meta
 

@@ -193,7 +193,7 @@ def test_asr_removes_injected_burst():
     x[1, start : start + 100] += burst
     # a time axis that starts at 7 s and is carried through the cleaning
     times = 7.0 + np.arange(x.shape[1]) / FS
-    dirty = Recording(FS, rec.layout, x, t0=7.0, times_s=times)
+    dirty = Recording(FS, rec.layout, x, times_s=times)
     out = suppress_artifacts(dirty)
     assert out is not dirty and out.t0 == 7.0
     np.testing.assert_array_equal(out.times(), times)

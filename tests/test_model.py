@@ -24,7 +24,6 @@ def make_recording(rng, n_ch=3, n=40, fs=500.0):
         sample_rate_hz=fs,
         layout=ChannelLayout(names),
         samples=rng.normal(size=(n_ch, n)) * 10,
-        t0=0.0,
     )
 
 
@@ -203,7 +202,7 @@ def test_derive_virtual_channel_mean():
     # originals untouched
     np.testing.assert_array_equal(out.samples[:2], rec.samples)
     # the time axis carries over, loaded timestamps included
-    timed = Recording(500.0, rec.layout, rec.samples, t0=3.0, times_s=[3.0, 3.002])
+    timed = Recording(500.0, rec.layout, rec.samples, times_s=[3.0, 3.002])
     out = derive_virtual_channel(timed, "POz", ["Pz", "Oz"])
     assert out.t0 == 3.0
     np.testing.assert_array_equal(out.times(), [3.0, 3.002])
@@ -245,7 +244,7 @@ def test_derive_idempotent_content():
     np.testing.assert_array_equal(b.channel("v1"), b.channel("v2"))
 
 
-def test_extract_epochs_counts_and_snapping():
+def test_extract_epochs_counts_and_snapping(tmp_path):
     fs = 500.0
     n = round(320 * fs)
     rec = Recording(
@@ -264,6 +263,15 @@ def test_extract_epochs_counts_and_snapping():
     assert epochs[0].target_freq_hz == 8.0
     # sample snapping: epoch 0 starts at sample 5000
     assert epochs[0].samples[0, 0] == 5000.0
+    # the time origin is the first timestamp: a marker there cuts sample 0,
+    # in memory and after a save/load round trip
+    late = Recording(fs, rec.layout, rec.samples, times_s=3.0 + np.arange(n) / fs)
+    path = tmp_path / "late.csv"
+    save_recording(late, path)
+    first = MarkerStream(((3.0, "trial_onset:radial_motion:8.0"),))
+    for r in (late, load_recording(path)):
+        assert r.t0 == 3.0
+        assert extract_epochs(r, first, 5.0)[0].samples[0, 0] == 0.0
 
 
 def test_extract_epochs_empty_and_bounds():
@@ -273,6 +281,6 @@ def test_extract_epochs_empty_and_bounds():
     with pytest.raises(InputError, match="1.0"):
         extract_epochs(rec, mk, 5.0)
     # a trial length can come from a manifest
-    for length in (0.0, -1.0, float("nan")):
-        with pytest.raises(InputError, match="epoch length must be > 0"):
+    for length in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="epoch length must be finite and > 0"):
             extract_epochs(rec, mk, length)

@@ -207,6 +207,10 @@ def test_stats_report_from_report(tiny_dataset):
     ]:
         with pytest.raises(InputError, match=message):
             stats_report(edited(edit), test="rm-anova", metric="snr")
+    # the markdown table reads each subject's rows by position
+    for edit in (lambda tasks: tasks[1]["rows"].pop(1), renamed):
+        with pytest.raises(InputError, match="task 2 has subjects"):
+            edited(edit).to_markdown()
 
 
 def test_cli_stimgen_and_synth_and_analyze(tmp_path):
@@ -284,6 +288,17 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         {"task": 2, "paradigm": "radial_motion", "targets": [8.0],
          "recording": "r", "markers": "m.csv"}
     ]}]}))
+    # one row per (task, subject) and one definition per task, checked
+    # before any recording is read
+    entry = {"task": 1, "paradigm": "radial_motion", "targets": [8.0, 12.0],
+             "recording": "rec.csv", "markers": "mk.csv"}
+    twice = tmp_path / "man5.json"
+    twice.write_text(json.dumps({"subjects": [{"id": "S1", "tasks": [entry]}] * 2}))
+    two_ways = tmp_path / "man6.json"
+    two_ways.write_text(json.dumps({"subjects": [
+        {"id": "S1", "tasks": [dict(entry, paradigm="pattern_reversal")]},
+        {"id": "S2", "tasks": [entry]},
+    ]}))
     bad_seed = tmp_path / "synth.json"
     bad_seed.write_text(json.dumps({"seed": "x"}))
     bogus_protocol = tmp_path / "synth2.json"
@@ -294,7 +309,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     reports.mkdir()
     row = {"subject": "S3", "snr_db": 1.0, "accuracy_pct": 90.0, "fatigue": None,
            "per_target_snr_db": {"8.0": None}, "per_target_accuracy_pct": {"8.0": 90.0}}
-    (reports / "r.json").write_text(json.dumps({"tasks": [{"task": 2, "rows": [row]}]}))
+    task2 = {"task": 2, "paradigm": "radial_motion", "targets": [8.0, 12.0]}
+    (reports / "r.json").write_text(json.dumps({"tasks": [dict(task2, rows=[row])]}))
     # a report copied twice would count each of its subjects twice
     copied = tmp_path / "copied"
     copied.mkdir()
@@ -303,7 +319,18 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         for subject, snr in (("S3", 3.0), ("S4", 5.0))
     ]
     for name in ("a.json", "b.json"):
-        (copied / name).write_text(json.dumps({"tasks": [{"task": 2, "rows": rows}]}))
+        (copied / name).write_text(json.dumps({"tasks": [dict(task2, rows=rows)]}))
+    # reports whose task 2 names different stimulus sets are two conditions
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    (mixed / "a.json").write_text(json.dumps({"tasks": [dict(task2, rows=rows[:1])]}))
+    (mixed / "b.json").write_text(json.dumps({"tasks": [
+        dict(task2, paradigm="pattern_reversal", rows=rows[1:])
+    ]}))
+    # a report without its stimulus set cannot be checked against another
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "a.json").write_text(json.dumps({"tasks": [{"task": 2, "rows": rows}]}))
     out = str(tmp_path / "z.json")
     cases = [
         (["analyze", "--recording", str(rec), "--markers", str(dots), "--task", "2",
@@ -316,6 +343,11 @@ def test_cli_error_exit_codes(tmp_path, capsys):
          [str(int_subjects), "subjects"]),
         (["analyze", "--dataset", str(missing_file), "--out", out],
          [str(missing_file), "subject S7", "task 2", "recording"]),
+        (["analyze", "--dataset", str(twice), "--out", out],
+         [f"task 1, subject S1 appears in {twice} and again in {twice}"]),
+        (["analyze", "--dataset", str(two_ways), "--out", out],
+         [str(two_ways), "task 1 is pattern_reversal", "subject S1", "radial_motion",
+          "subject S2"]),
         (["synth", "--config", str(bad_seed), "--out", str(tmp_path / "ds")],
          [str(bad_seed), "seed"]),
         (["synth", "--config", str(bogus_protocol), "--out", str(tmp_path / "ds")],
@@ -324,6 +356,11 @@ def test_cli_error_exit_codes(tmp_path, capsys):
          [str(reports / "r.json"), "task 2", "subject S3", "per_target_snr_db"]),
         (["stats", "--reports", str(copied), "--test", "rm-anova"],
          ["task 2, subject S3", str(copied / "a.json"), str(copied / "b.json")]),
+        (["stats", "--reports", str(mixed), "--test", "rm-anova"],
+         ["task 2 is radial_motion", "pattern_reversal", str(mixed / "a.json"),
+          str(mixed / "b.json")]),
+        (["stats", "--reports", str(bare), "--test", "rm-anova"],
+         [str(bare / "a.json"), "task 2", "missing key 'paradigm'"]),
     ]
     # non-finite stimulus numbers, a duration too short for one frame, and
     # frame counts above the ceiling
@@ -546,7 +583,7 @@ def test_line_frequency_comes_from_the_manifest(tmp_path, monkeypatch, capsys):
         argv = ["analyze", "--dataset", str(bad), "--out", str(tmp_path / "r.json")]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert str(bad) in err and "config.line_freq_hz" in err, err
+        assert str(bad) in err and "config: line_freq_hz" in err, err
 
 
 def test_recording_line_frequency_option_matches_the_dataset(tmp_path, capsys):
@@ -577,7 +614,7 @@ def test_recording_line_frequency_option_matches_the_dataset(tmp_path, capsys):
     for value in ("nan", "inf", "0", "-60"):
         assert main(argv + ["--line-freq", value]) == 2
         err = capsys.readouterr().err
-        assert "--line-freq must be a finite number > 0" in err, err
+        assert "--line-freq must be finite and > 0" in err, err
     assert main(["analyze", "--dataset", str(out / "manifest.json"), "--line-freq", "60",
                  "--out", str(tmp_path / "r.json")]) == 2
     assert "--line-freq applies to --recording only" in capsys.readouterr().err
@@ -681,7 +718,9 @@ def test_markers_contradicting_the_task_are_an_input_error(tiny_dataset, tmp_pat
             for task in subject["tasks"]:
                 for key in ("recording", "markers"):
                     task[key] = str(out / task[key])
-        edited["subjects"][0]["tasks"][0].update(paradigm=paradigm, targets=targets)
+        # every subject's task 1, so that the manifest defines task 1 once
+        for subject in edited["subjects"]:
+            subject["tasks"][0].update(paradigm=paradigm, targets=targets)
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(edited))
         capsys.readouterr()

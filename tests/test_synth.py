@@ -54,6 +54,17 @@ def test_nyquist_guard():
     cfg = SynthConfig(n_harmonics=3)
     with pytest.raises(InputError):
         synth_trial(cfg, 90.0, 1.0, 500.0)  # 3*90 > 250
+    # a length or rate that is not a finite number > 0 is named, not turned
+    # into a sample count
+    for duration_s, fs_hz, name in (
+        (float("nan"), 500.0, "duration_s"),
+        (float("inf"), 500.0, "duration_s"),
+        (0.0, 500.0, "duration_s"),
+        (1.0, float("nan"), "fs_hz"),
+        (1.0, float("inf"), "fs_hz"),
+    ):
+        with pytest.raises(InputError, match=f"{name} must be finite and > 0"):
+            synth_trial(cfg, 8.0, duration_s, fs_hz)
 
 
 def test_rms_monotone_in_evoked_amp():
