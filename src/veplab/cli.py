@@ -14,7 +14,7 @@ from dataclasses import MISSING, fields, replace
 
 from .decode import Decision
 from .errors import DegenerateDataError, InputError, check_finite, located
-from .model import json_value
+from .model import json_task, json_value
 from .pipeline import (
     PipelineConfig,
     Report,
@@ -183,15 +183,13 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _report_tasks(path, data: dict) -> list[dict]:
-    """The tasks of a report JSON once every row value has its JSON type;
-    errors name the file, the task, the subject and the key."""
-    tasks = json_value(data, "tasks", list, path, item=dict)
-    for t in tasks:
-        task = json_value(t, "task", int, path)
-        where = f"{path}: task {task}"
-        json_value(t, "paradigm", str, where)
-        json_value(t, "targets", list, where, item=float)
+def _report_tasks(path, data: dict) -> list[tuple[tuple, dict]]:
+    """The definition and entry of each task of a report JSON once every row
+    value has its JSON type; errors name the file, the task, the subject and
+    the key."""
+    tasks = [(json_task(t, path), t) for t in json_value(data, "tasks", list, path, item=dict)]
+    for definition, t in tasks:
+        where = f"{path}: task {definition[0]}"
         for k, row in enumerate(json_value(t, "rows", list, where, item=dict)):
             subject = json_value(row, "subject", str, f"{where}, row {k}")
             at = f"{where}, subject {subject}"
@@ -223,12 +221,12 @@ def _cmd_stats(args) -> int:
     # a second copy of a subject would count as one more subject, and a task
     # defined two ways would pool two conditions
     check_task_rows(
-        (path, t["task"], t["paradigm"], t["targets"], row["subject"])
-        for path, tasks in reports for t in tasks for row in t["rows"]
+        (path, definition, row["subject"])
+        for path, tasks in reports for definition, t in tasks for row in t["rows"]
     )
     merged: dict[int, dict] = {}
     for path, tasks in reports:
-        for t in tasks:
+        for _, t in tasks:
             merged.setdefault(t["task"], dict(t, rows=[]))["rows"].extend(t["rows"])
     combined = Report(tasks=[merged[k] for k in sorted(merged)])
     out = stats_report(combined, test=args.test, metric=args.metric)

@@ -12,6 +12,9 @@ overlap-add), and artifacts by principal-subspace cleaning in ASR_WINDOW_S
 (20) times its variance in the quietest ASR_CALIB_S (10 s) stretch of the
 recording.
 
+`check_windows` is the one rule for whether a task's trial windows can be
+analysed; synth applies it before writing a task, analyze to its markers.
+
 scipy is imported inside the functions that call it, so importing this module
 (and veplab) loads numpy only; the first filter or artifact pass loads scipy.
 """
@@ -19,20 +22,33 @@ scipy is imported inside the functions that call it, so importing this module
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, located
 from .model import Recording, TrialEpoch
+from .stimgen import GABOR_PULSE, PATTERN_REVERSAL, RADIAL_MOTION
 
 # the same for every band, recording and task
 FILTER_ORDER = 4
+# sosfiltfilt's default pad: three times the taps of FILTER_ORDER sections
+BANDPASS_PAD = 3 * (2 * FILTER_ORDER + 1)
 LINE_WINDOW_S = 1.0
 ASR_CUTOFF = 20.0
 ASR_WINDOW_S = 1.0
 ASR_CALIB_S = 10.0
+# a trial is analysed from this long after its onset marker
+SKIP_INITIAL_S = 1.0
+
+# band edges bracket each paradigm's targets with margin
+PARADIGM_BANDS = {
+    PATTERN_REVERSAL: (7.0, 15.0),
+    RADIAL_MOTION: (7.0, 17.0),
+    GABOR_PULSE: (65.0, 80.0),
+}
 
 
 @dataclass(frozen=True)
@@ -69,13 +85,62 @@ def bandpass(epoch: TrialEpoch, spec: BandpassSpec) -> TrialEpoch:
 
     spec.validate(epoch.sample_rate_hz)
     sos = _butter_sos(spec.lo_hz, spec.hi_hz, epoch.sample_rate_hz)
-    # sosfiltfilt's default pad: three times the taps the sections really use
-    pad = 3 * (2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum()))
-    n = epoch.samples.shape[1]
-    if n <= pad:
-        raise InputError(f"epoch of {n} samples is too short to band-pass; need > {pad}")
-    filtered = signal.sosfiltfilt(sos, epoch.samples, axis=1)
+    _check_padded(epoch.samples.shape[1])
+    filtered = signal.sosfiltfilt(sos, epoch.samples, axis=1, padlen=BANDPASS_PAD)
     return epoch.replace_samples(filtered)
+
+
+def _check_padded(n: int) -> None:
+    if n <= BANDPASS_PAD:
+        raise InputError(f"epoch of {n} samples is too short to band-pass; need > {BANDPASS_PAD}")
+
+
+def _check_calibrated(n: int, n_calib: int, fs_hz: float) -> None:
+    if n < n_calib:
+        raise InputError(
+            f"recording of {n / fs_hz:.2f} s is shorter than the {ASR_CALIB_S} s "
+            "calibration window"
+        )
+
+
+def onset_mode(paradigm: str, targets_hz) -> bool:
+    """Single-stimulus on/off detection, scored on the rest windows too,
+    instead of FB-CCA."""
+    return paradigm == GABOR_PULSE and len(targets_hz) == 1
+
+
+def check_windows(paradigm, targets_hz, trial_s, fs_hz, n_samples, onsets, offsets) -> int:
+    """Check that a task's windows can be analysed in a recording of
+    n_samples with onset and offset markers at the sorted sample positions
+    onsets and offsets; return the samples decoded per trial.
+
+    The recording must hold the ASR_CALIB_S calibration stretch and the
+    paradigm's band, and a trial_s window less the SKIP_INITIAL_S skip must
+    outlast the band-pass pad. In onset mode each rest window, trial_s from
+    an offset, must end by the next onset and inside the recording.
+    """
+    def samples(seconds: float) -> int:
+        # capped, so an overflowing product never reaches round()
+        return round(min(seconds * fs_hz, n_samples + 1.0))
+
+    _check_calibrated(n_samples, samples(ASR_CALIB_S), fs_hz)
+    with located(paradigm):
+        BandpassSpec(*PARADIGM_BANDS[paradigm]).validate(fs_hz)
+    n_window = samples(trial_s)
+    n_segment = n_window - samples(SKIP_INITIAL_S)
+    with located(f"trial_s {trial_s} s after the {SKIP_INITIAL_S} s skip"):
+        _check_padded(n_segment)
+    for off in offsets if onset_mode(paradigm, targets_hz) else ():
+        k = bisect_left(onsets, off)
+        end, what = ((onsets[k], "onset marker") if k < len(onsets) and onsets[k] < n_samples
+                     else (n_samples, "recording's end"))
+        if off + n_window > end:
+            raise InputError(
+                f"the {trial_s} s rest window after the offset marker at {off / fs_hz} s "
+                f"reaches past the {what} at {end / fs_hz} s; rest_s (and lead_out_s "
+                "after the last trial) is under trial_s"
+            )
+    return n_segment
 
 
 @functools.lru_cache(maxsize=16)
@@ -158,11 +223,7 @@ def suppress_artifacts(rec: Recording) -> Recording:
     x = rec.samples
     n = x.shape[1]
     n_calib = round(ASR_CALIB_S * fs)
-    if n < n_calib:
-        raise InputError(
-            f"recording of {n / fs:.2f} s is shorter than the {ASR_CALIB_S} s "
-            "calibration window"
-        )
+    _check_calibrated(n, n_calib, fs)
 
     # quietest calibration stretch by total energy, searched on 1 s hops
     energy = np.sum(x**2, axis=0)

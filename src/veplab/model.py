@@ -11,7 +11,8 @@ to name a bad row, and both read every file to the same bits or the same
 error.
 
 `json_value` is the typed-key check shared by the JSON readers (dataset
-manifest, synth config).
+manifest, synth config, report), and `json_task` reads a task's definition
+from a manifest or report.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, ParseError, check_finite, check_finite_fields
+from .stimgen import PARADIGMS
 
 MARKER_BASELINE = "baseline_start"
 MARKER_ONSET = "trial_onset"
 MARKER_OFFSET = "trial_offset"
+TRIAL_S = 5.0  # a task's trial window where a protocol, manifest or report states none
 
 # trial_onset:<paradigm>:<freq_hz> / trial_offset:<paradigm>:<freq_hz> / baseline_start,
 # where freq_hz is an unsigned decimal float literal
@@ -80,6 +83,20 @@ def json_value(obj: dict, key: str, kind, where: str, item=None, required=True):
             f"{where}: every element of {key} must be a JSON {_JSON_NAMES[item]}"
         )
     return value
+
+
+def json_task(obj: dict, where: str) -> tuple[int, str, tuple[float, ...], float]:
+    """The definition (task, paradigm, targets, trial_s) of a manifest or
+    report task entry, which every row of one task number must share;
+    trial_s is TRIAL_S when absent. Errors name where, the task and the key."""
+    task = json_value(obj, "task", int, where)
+    at = f"{where}, task {task}"
+    paradigm = json_value(obj, "paradigm", str, at)
+    if paradigm not in PARADIGMS:
+        raise InputError(f"{at}: unknown paradigm {paradigm!r}")
+    targets = tuple(float(f) for f in json_value(obj, "targets", list, at, item=float))
+    trial_s = json_value(obj, "trial_s", float, at, required=False)
+    return task, paradigm, targets, TRIAL_S if trial_s is None else float(trial_s)
 
 
 @dataclass(frozen=True)
@@ -147,6 +164,12 @@ class Recording:
     def t0(self) -> float:
         """Time of the first sample: the first timestamp, 0.0 without them."""
         return float(self.times_s[0]) if self.times_s is not None and self.n_samples else 0.0
+
+    def sample_index(self, t: float) -> int:
+        """The sample nearest time t, capped at n_samples + 1 either side so
+        an overflowing product never reaches round()."""
+        cap = self.n_samples + 1.0
+        return round(min(max((t - self.t0) * self.sample_rate_hz, -cap), cap))
 
     def times(self) -> np.ndarray:
         if self.times_s is not None:
@@ -390,13 +413,12 @@ def extract_epochs(
     """
     check_finite("epoch length", length_s)
     fs = rec.sample_rate_hz
-    # capped so round() never meets an overflowed product; a capped index
-    # lies outside the recording and fails the bounds check
-    cap = rec.n_samples + 1.0
-    n_win = round(min(length_s * fs, cap))
+    # capped as sample_index caps: a capped window ends outside the recording
+    # and fails the bounds check
+    n_win = round(min(length_s * fs, rec.n_samples + 1.0))
     epochs = []
     for t, paradigm, freq in markers.with_prefix(marker_prefix):
-        i0 = round(min(max((t - rec.t0) * fs, -cap), cap))
+        i0 = rec.sample_index(t)
         i1 = i0 + n_win
         if i0 < 0 or i1 > rec.n_samples:
             raise InputError(

@@ -7,6 +7,7 @@ assembles the per-subject performance/fatigue table with mean +- SE rows.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -24,32 +25,16 @@ from .decode import (
     fbcca_decide,
     make_references,
 )
-from .dsp import BandpassSpec, bandpass, remove_line_noise, suppress_artifacts
+from .dsp import PARADIGM_BANDS, SKIP_INITIAL_S, BandpassSpec, bandpass, check_windows, onset_mode
+from .dsp import remove_line_noise, suppress_artifacts
 from .errors import DegenerateDataError, InputError, check_finite, located
-from .model import (
-    MARKER_OFFSET,
-    MARKER_ONSET,
-    Recording,
-    TrialEpoch,
-    derive_virtual_channel,
-    extract_epochs,
-    json_value,
-    load_markers,
-    load_recording,
-)
+from .model import MARKER_OFFSET, MARKER_ONSET, TRIAL_S, Recording, TrialEpoch
+from .model import derive_virtual_channel, extract_epochs, json_task, json_value
+from .model import load_markers, load_recording
 from .spectral import psd_boxcar, snr_at, snr_spectrum
-from .stimgen import GABOR_PULSE, PATTERN_REVERSAL, RADIAL_MOTION
 from .synth import default_protocol
 
-# band edges bracket each paradigm's targets with margin
-PARADIGM_BANDS = {
-    PATTERN_REVERSAL: (7.0, 15.0),
-    RADIAL_MOTION: (7.0, 17.0),
-    GABOR_PULSE: (65.0, 80.0),
-}
-
 # the analysis is the same for every task and subject
-SKIP_INITIAL_S = 1.0
 N_HARMONICS = 3
 # null rho for 4 s band-limited epochs reaches ~0.4; evoked trials at the
 # default synth amplitudes sit near 0.99
@@ -67,12 +52,7 @@ class PipelineConfig:
     markers_path: str = ""
     subject: str = ""
     line_freq_hz: float = 50.0
-    trial_s: float = 5.0
-
-    @property
-    def onset_mode(self) -> bool:
-        """Single-stimulus on/off detection instead of FB-CCA."""
-        return self.paradigm == GABOR_PULSE and len(self.targets_hz) == 1
+    trial_s: float = TRIAL_S
 
     def filter_bank(self, fs_hz: float) -> FilterBankConfig:
         """Sub-bands for FB-CCA decoding.
@@ -85,15 +65,10 @@ class PipelineConfig:
         return default_filter_bank(self.targets_hz, ceiling)
 
 
-def _paradigm_config(task: int, paradigm: str, targets_hz, **fields) -> PipelineConfig:
+def _paradigm_config(task: int, paradigm: str, targets_hz, trial_s, **fields) -> PipelineConfig:
     """Config for a task on a known paradigm, which fixes the analysis band."""
-    return PipelineConfig(
-        task=task,
-        paradigm=paradigm,
-        targets_hz=tuple(targets_hz),
-        band=BandpassSpec(*PARADIGM_BANDS[paradigm]),
-        **fields,
-    )
+    band = BandpassSpec(*PARADIGM_BANDS[paradigm])
+    return PipelineConfig(task, paradigm, tuple(targets_hz), band, trial_s=trial_s, **fields)
 
 
 def config_for_task(
@@ -107,7 +82,7 @@ def config_for_task(
         raise InputError(f"task must be one of 1..{len(tasks)}, got {task}")
     t = tasks[task - 1]
     return _paradigm_config(
-        task, t.paradigm, t.targets_hz, trial_s=t.trial_s,
+        task, t.paradigm, t.targets_hz, t.trial_s,
         recording_path=recording_path, markers_path=markers_path, subject=subject,
         line_freq_hz=line_freq_hz,
     )
@@ -182,30 +157,13 @@ def _post_skip(epoch: TrialEpoch) -> TrialEpoch:
     return epoch.replace_samples(epoch.samples[:, k0:])
 
 
-def _check_rest_windows(rec: Recording, markers, trial_s: float, where: str) -> None:
-    """Each rest window read after an offset marker must end by the next onset
-    marker; past it, the "rest" samples would hold the next stimulation.
-
-    Compared in samples, snapped as extract_epochs snaps them.
-    """
-    fs = rec.sample_rate_hz
-    onsets = [t for t, _, _ in markers.with_prefix(MARKER_ONSET)]
-    for t_off, _, _ in markers.with_prefix(MARKER_OFFSET):
-        t_on = next((t for t in onsets if t >= t_off), None)
-        end = round((t_off - rec.t0) * fs) + round(trial_s * fs)
-        if t_on is not None and end > round((t_on - rec.t0) * fs):
-            raise InputError(
-                f"{where}: the {trial_s} s rest window after the offset marker at "
-                f"{t_off} s reaches past the onset marker at {t_on} s"
-            )
-
-
 def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
     """Run the full analysis chain for one recording/marker pair."""
     if not cfg.recording_path or not cfg.markers_path:
         raise InputError("config must carry recording_path and markers_path")
     rec = _staged("load", None, load_recording, cfg.recording_path)
     markers = _staged("load", None, load_markers, cfg.markers_path)
+    positions = []  # of the onset, then the offset markers
     for prefix in (MARKER_ONSET, MARKER_OFFSET):
         for t, paradigm, freq in markers.with_prefix(prefix):
             if paradigm != cfg.paradigm or freq not in cfg.targets_hz:
@@ -213,6 +171,13 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
                     f"{cfg.markers_path}: marker at {t} s names {paradigm} at {freq!r} Hz,"
                     f" but task {cfg.task} is {cfg.paradigm} at {list(cfg.targets_hz)} Hz"
                 )
+        positions.append([rec.sample_index(t) for t, _, _ in markers.with_prefix(prefix)])
+    fs = rec.sample_rate_hz
+    with located(cfg.markers_path):
+        # every decoded segment is one epoch window minus the onset skip
+        n_segment = check_windows(
+            cfg.paradigm, cfg.targets_hz, cfg.trial_s, fs, rec.n_samples, *positions
+        )
     rec, channel = _analysis_channel(rec)
     # Artifact suppression runs on the continuous recording: its calibration
     # needs >= 10 s of data, which no single trial epoch can provide.
@@ -220,72 +185,47 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
     epochs = _staged("epoching", None, extract_epochs, rec, markers, cfg.trial_s)
     ch_idx = rec.layout.index(channel)
 
-    fs = rec.sample_rate_hz
+    detection = onset_mode(cfg.paradigm, cfg.targets_hz)
     n_harm = N_HARMONICS
-    if cfg.onset_mode:
+    if detection:
         # harmonics outside the analysis band cannot appear in the
         # band-passed epoch; they would only inflate the null rho
         n_harm = max(1, min(n_harm, int(cfg.band.hi_hz // max(cfg.targets_hz))))
-    # every decoded segment is one epoch window minus the onset skip
-    n_segment = round(cfg.trial_s * fs) - round(SKIP_INITIAL_S * fs)
-    if n_segment < 2:
-        raise InputError(
-            f"skip of {SKIP_INITIAL_S} s leaves under 2 samples of a "
-            f"{cfg.trial_s} s trial window"
-        )
     refs = make_references(cfg.targets_hz, n_harm, fs, n_segment)
     bank = cfg.filter_bank(fs)
-
-    def onset_decision(segment: TrialEpoch, trial: int) -> Decision:
-        # single-target on/off call runs on the band-passed segment
-        return _staged("decode", trial, detect_onset, segment, refs, ONSET_THRESHOLD)
-
     trials = []
     for i, epoch in enumerate(epochs):
         narrow = _preprocess(epoch, cfg, i)
         psd = _staged("psd", i, psd_boxcar, narrow)
         snr = _staged("snr", i, snr_spectrum, psd)
         readout = _staged("snr", i, snr_at, snr, epoch.target_freq_hz)
-        if cfg.onset_mode:
-            decision = onset_decision(narrow, i)
+        if detection:
+            # the single-target on/off call runs on the band-passed segment
+            decision = _staged("decode", i, detect_onset, narrow, refs, ONSET_THRESHOLD)
         else:
             # FB-CCA applies its own sub-band filters; feed it the
             # line-cleaned but otherwise full-band epoch so reference
             # harmonics stay available
-            cleaned = _staged(
-                "line-removal", i, remove_line_noise, epoch, cfg.line_freq_hz
-            )
-            segment = _post_skip(cleaned)
-            decision = _staged("decode", i, fbcca_decide, segment, refs, bank)
-        trials.append(
-            TrialOutcome(
-                trial=i,
-                true_hz=epoch.target_freq_hz,
-                decision=decision,
-                snr_db_target=float(readout.snr_db[ch_idx]),
-            )
-        )
+            cleaned = _staged("line-removal", i, remove_line_noise, epoch, cfg.line_freq_hz)
+            decision = _staged("decode", i, fbcca_decide, _post_skip(cleaned), refs, bank)
+        trials.append(TrialOutcome(
+            trial=i, true_hz=epoch.target_freq_hz, decision=decision,
+            snr_db_target=float(readout.snr_db[ch_idx]),
+        ))
 
     offset_decisions = []
-    if cfg.onset_mode:
-        rest_epochs = _staged(
-            "epoching", None, extract_epochs, rec, markers, cfg.trial_s,
-            marker_prefix=MARKER_OFFSET,
-        )
-        _check_rest_windows(rec, markers, cfg.trial_s, cfg.markers_path)
+    if detection:
+        # the rest windows, which the rule above keeps clear of the next onset
+        rest_epochs = _staged("epoching", None, extract_epochs, rec, markers, cfg.trial_s,
+                              marker_prefix=MARKER_OFFSET)
         offset_decisions = [
-            onset_decision(_preprocess(epoch, cfg, i), i)
+            _staged("decode", i, detect_onset, _preprocess(epoch, cfg, i), refs, ONSET_THRESHOLD)
             for i, epoch in enumerate(rest_epochs)
         ]
 
     subject = cfg.subject or os.path.basename(str(cfg.recording_path)).split("_")[0]
-    return SubjectTaskResult(
-        subject=subject,
-        task=cfg.task,
-        paradigm=cfg.paradigm,
-        trials=trials,
-        offset_decisions=offset_decisions,
-    )
+    return SubjectTaskResult(subject=subject, task=cfg.task, paradigm=cfg.paradigm,
+                             trials=trials, offset_decisions=offset_decisions)
 
 
 def _round4(x: float) -> float:
@@ -297,10 +237,7 @@ def _row_from_result(result: SubjectTaskResult, fatigue: float | None) -> dict:
     per_target_snr = result.per_target_snr_db()
     for f, snr_db in per_target_snr.items():
         if not math.isfinite(snr_db):
-            raise DegenerateDataError(
-                f"subject {result.subject}, task {result.task}: SNR at target "
-                f"{f!r} Hz is {snr_db}"
-            )
+            raise DegenerateDataError(f"SNR at target {f!r} Hz is {snr_db}")
     return {
         "subject": result.subject,
         "snr_db": _round4(np.mean(list(per_target_snr.values()))),
@@ -389,6 +326,7 @@ def _task_entry(cfg: PipelineConfig, rows: list[dict]) -> dict:
         "task": cfg.task,
         "paradigm": cfg.paradigm,
         "targets": list(cfg.targets_hz),
+        "trial_s": cfg.trial_s,
         "rows": rows,
         "aggregate": _aggregate(rows),
     }
@@ -398,17 +336,19 @@ def result_report(
     cfg: PipelineConfig, result: SubjectTaskResult, fatigue: float | None = None
 ) -> Report:
     """Wrap one analyzed recording as a single-subject report."""
-    return Report(tasks=[_task_entry(cfg, [_row_from_result(result, fatigue)])])
+    with located(f"subject {result.subject}, task {result.task}"):
+        row = _row_from_result(result, fatigue)
+    return Report(tasks=[_task_entry(cfg, [row])])
 
 
 def check_task_rows(rows) -> None:
     """One definition per task number, one row per (task, subject); rows
-    yields (source, task, paradigm, targets, subject). Errors name both
-    sources at fault."""
+    yields (source, (task, paradigm, targets, trial_s), subject). Errors name
+    both sources at fault."""
     defined: dict[int, tuple[str, str]] = {}
     held: dict[tuple[int, str], str] = {}
-    for source, task, paradigm, targets, subject in rows:
-        stimuli = f"{paradigm} at {[float(f) for f in targets]} Hz"
+    for source, (task, paradigm, targets, trial_s), subject in rows:
+        stimuli = f"{paradigm} at {list(targets)} Hz in {trial_s} s trials"
         first, by = defined.setdefault(task, (stimuli, f"subject {subject} in {source}"))
         if stimuli != first:
             raise InputError(
@@ -457,27 +397,19 @@ def _manifest_entries(manifest_path: str) -> list[tuple[PipelineConfig, float | 
             with located(f"{where}, vasf_baseline_items"):
                 baseline = vstats.score_vasf(baseline_items)
         for task_entry in json_value(subj, "tasks", list, where, item=dict):
-            task = json_value(task_entry, "task", int, where)
-            at = f"{where}, task {task}"
-            paradigm = json_value(task_entry, "paradigm", str, at)
-            if paradigm not in PARADIGM_BANDS:
-                raise InputError(f"{at}: unknown paradigm {paradigm!r}")
-            targets = json_value(task_entry, "targets", list, at, item=float)
-            trial_s = json_value(task_entry, "trial_s", float, at, required=False)
+            definition = json_task(task_entry, where)
+            at = f"{where}, task {definition[0]}"
             paths = {}
             for key in ("recording", "markers"):
                 paths[key] = os.path.join(base, json_value(task_entry, key, str, at))
                 if not os.path.isfile(paths[key]):
                     raise InputError(f"{at}: {key} {paths[key]!r} is not a file")
             cfg = _paradigm_config(
-                task,
-                paradigm,
-                (float(f) for f in targets),
+                *definition,
                 recording_path=paths["recording"],
                 markers_path=paths["markers"],
                 subject=sid,
                 line_freq_hz=line_freq_hz,
-                trial_s=PipelineConfig.trial_s if trial_s is None else float(trial_s),
             )
             fatigue = None
             items = json_value(
@@ -488,7 +420,8 @@ def _manifest_entries(manifest_path: str) -> list[tuple[PipelineConfig, float | 
                     fatigue = vstats.score_vasf(items, baseline).fatigue
             entries.append((cfg, fatigue))
     check_task_rows(
-        (manifest_path, c.task, c.paradigm, c.targets_hz, c.subject) for c, _ in entries
+        (manifest_path, (c.task, c.paradigm, c.targets_hz, c.trial_s), c.subject)
+        for c, _ in entries
     )
     return entries
 
@@ -501,8 +434,7 @@ def analyze_dataset(manifest_path) -> Report:
             f"{manifest_path}: subject {cfg.subject}, task {cfg.task}, "
             f"recording {os.path.basename(cfg.recording_path)}"
         ):
-            result = analyze_recording(cfg)
-        row = _row_from_result(result, fatigue)
+            row = _row_from_result(analyze_recording(cfg), fatigue)
         by_task.setdefault(cfg.task, (cfg, []))[1].append(row)
     return Report(tasks=[_task_entry(*by_task[t]) for t in sorted(by_task)])
 
@@ -574,19 +506,11 @@ def stats_report(report: Report, test: str, metric: str = "snr") -> dict:
             posthoc=[],
         )
     elif test == "posthoc":
-        pairs = [
-            (i, j) for i in range(len(names)) for j in range(i + 1, len(names))
-        ]
+        pairs = list(itertools.combinations(range(len(names)), 2))
         results = [vstats.paired_t(matrix[:, i], matrix[:, j]) for i, j in pairs]
         adjusted = vstats.holm_posthoc([r.p for r in results])
         out["posthoc"] = [
-            {
-                "pair": [names[i], names[j]],
-                "t": r.t,
-                "df": r.df,
-                "p_holm": p_adj,
-                "d": r.cohen_d,
-            }
+            {"pair": [names[i], names[j]], "t": r.t, "df": r.df, "p_holm": p_adj, "d": r.cohen_d}
             for (i, j), r, p_adj in zip(pairs, results, adjusted)
         ]
     else:

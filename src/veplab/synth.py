@@ -18,18 +18,10 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import InputError, check_finite, check_finite_fields
-from .model import (
-    MARKER_BASELINE,
-    MARKER_OFFSET,
-    MARKER_ONSET,
-    ChannelLayout,
-    MarkerStream,
-    Recording,
-    TrialEpoch,
-    save_markers,
-    save_recording,
-)
+from .dsp import check_windows
+from .errors import InputError, check_finite, check_finite_fields, located
+from .model import MARKER_BASELINE, MARKER_OFFSET, MARKER_ONSET, TRIAL_S, ChannelLayout
+from .model import MarkerStream, Recording, TrialEpoch, save_markers, save_recording
 from .stimgen import GABOR_PULSE, PARADIGMS, PATTERN_REVERSAL, RADIAL_MOTION
 
 DEFAULT_GAINS = {"Pz": 0.9, "Oz": 1.0, "O1": 0.85, "O2": 0.8}
@@ -80,7 +72,7 @@ class TaskProtocol:
     paradigm: str
     targets_hz: tuple[float, ...]
     trials_per_target: int
-    trial_s: float = 5.0
+    trial_s: float = TRIAL_S
     rest_s: float = 5.0
 
     def __post_init__(self):
@@ -117,6 +109,21 @@ class SynthProtocol:
         check_finite_fields(
             self, positive=("fs_hz",), non_negative=("baseline_s", "lead_out_s")
         )
+        # every task must be one that analyze accepts
+        for k, task in enumerate(self.tasks):
+            with located(f"task {k}"):
+                check_windows(task.paradigm, task.targets_hz, task.trial_s, self.fs_hz,
+                              *self.sample_positions(task))
+
+    def sample_positions(self, task: TaskProtocol) -> tuple[int, list[int], list[int]]:
+        """The length of task's recording and the onset and offset sample of
+        each trial, each on its segment's first sample (summed seconds drift)."""
+        length_s = self.baseline_s + task.n_trials * (task.trial_s + task.rest_s) + self.lead_out_s
+        check_finite("recording samples", length_s * self.fs_hz, strict=False)
+        n_base, n_trial, n_rest, n_out = (round(s * self.fs_hz) for s in (
+            self.baseline_s, task.trial_s, task.rest_s, self.lead_out_s))
+        onsets = [n_base + k * (n_trial + n_rest) for k in range(task.n_trials)]
+        return onsets[-1] + n_trial + n_rest + n_out, onsets, [n + n_trial for n in onsets]
 
 
 def default_protocol(n_subjects: int = 14) -> SynthProtocol:
@@ -237,23 +244,19 @@ def _subject_task_files(
     targets = np.repeat(task.targets_hz, task.trials_per_target)
     order_rng.shuffle(targets)
 
+    _, onsets, offsets = protocol.sample_positions(task)
     events: list[tuple[float, str]] = [(0.0, MARKER_BASELINE)]
     trials_meta = []
     rng_base = _rng_for(cfg, (subject, task_idx, 0, 0))
     segments = [_segment(cfg, rng_base, None, protocol.baseline_s, fs)]
-    # a marker sits on its segment's first sample; summing seconds would drift
-    n_written = segments[0].shape[1]
     for k, f in enumerate(targets.tolist()):
-        onset = n_written / fs
         rng_stim = _rng_for(cfg, (subject, task_idx, k + 1, 1))
         segments.append(_segment(cfg, rng_stim, f, task.trial_s, fs))
-        n_written += segments[-1].shape[1]
-        events.append((onset, f"{MARKER_ONSET}:{task.paradigm}:{f!r}"))
-        trials_meta.append({"onset_s": onset, "target_hz": f})
-        events.append((n_written / fs, f"{MARKER_OFFSET}:{task.paradigm}:{f!r}"))
+        events.append((onsets[k] / fs, f"{MARKER_ONSET}:{task.paradigm}:{f!r}"))
+        trials_meta.append({"onset_s": onsets[k] / fs, "target_hz": f})
+        events.append((offsets[k] / fs, f"{MARKER_OFFSET}:{task.paradigm}:{f!r}"))
         rng_rest = _rng_for(cfg, (subject, task_idx, k + 1, 2))
         segments.append(_segment(cfg, rng_rest, None, task.rest_s, fs))
-        n_written += segments[-1].shape[1]
     rng_out = _rng_for(cfg, (subject, task_idx, len(targets) + 1, 3))
     segments.append(_segment(cfg, rng_out, None, protocol.lead_out_s, fs))
 
@@ -263,11 +266,7 @@ def _subject_task_files(
     np.rint(samples, out=samples)
     samples *= ADC_STEP_UV
     samples += 0.0
-    rec = Recording(
-        sample_rate_hz=fs,
-        layout=ChannelLayout(cfg.channel_names),
-        samples=samples,
-    )
+    rec = Recording(sample_rate_hz=fs, layout=ChannelLayout(cfg.channel_names), samples=samples)
     return rec, MarkerStream(tuple(events)), trials_meta
 
 
@@ -281,6 +280,9 @@ def synth_dataset(cfg: SynthConfig, protocol: SynthProtocol, out_dir) -> dict:
     Returns the manifest dict; the same content is written to
     out_dir/manifest.json.
     """
+    # analyze removes the line the manifest records, whatever its amplitude
+    if protocol.fs_hz <= 2 * cfg.line_freq_hz:
+        raise InputError(f"fs_hz {protocol.fs_hz} cannot hold the {cfg.line_freq_hz} Hz line_freq_hz")
     os.makedirs(out_dir, exist_ok=True)
     subjects = []
     for s in range(1, protocol.n_subjects + 1):
@@ -295,19 +297,12 @@ def synth_dataset(cfg: SynthConfig, protocol: SynthProtocol, out_dir) -> dict:
                 save_markers(markers, os.path.join(out_dir, mrk_name))
             except OSError as exc:
                 raise InputError(f"cannot write dataset files to {out_dir}: {exc}")
-            tasks.append(
-                {
-                    "task": ti + 1,
-                    "paradigm": task.paradigm,
-                    "targets": list(task.targets_hz),
-                    "trial_s": task.trial_s,
-                    "rest_s": task.rest_s,
-                    "recording": rec_name,
-                    "markers": mrk_name,
-                    "vasf_items": _vasf_items(vasf_rng),
-                    "trials": trials_meta,
-                }
-            )
+            # the task's definition, which analyze reads back with model.json_task
+            tasks.append({
+                "task": ti + 1, "paradigm": task.paradigm, "targets": list(task.targets_hz),
+                "trial_s": task.trial_s, "rest_s": task.rest_s, "recording": rec_name,
+                "markers": mrk_name, "vasf_items": _vasf_items(vasf_rng), "trials": trials_meta,
+            })
         subjects.append(
             {
                 "id": f"S{s}",

@@ -327,6 +327,16 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     (mixed / "b.json").write_text(json.dumps({"tasks": [
         dict(task2, paradigm="pattern_reversal", rows=rows[1:])
     ]}))
+    # nor reports whose task 2 was read in windows of different lengths
+    lengths = tmp_path / "lengths"
+    lengths.mkdir()
+    (lengths / "a.json").write_text(json.dumps({"tasks": [dict(task2, rows=rows[:1])]}))
+    (lengths / "b.json").write_text(json.dumps({"tasks": [
+        dict(task2, trial_s=3.0, rows=rows[1:])
+    ]}))
+    # a marker file without trials leaves nothing to score
+    baseline_only = tmp_path / "man7.json"
+    baseline_only.write_text(json.dumps({"subjects": [{"id": "S1", "tasks": [entry]}]}))
     # a report without its stimulus set cannot be checked against another
     bare = tmp_path / "bare"
     bare.mkdir()
@@ -348,6 +358,11 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         (["analyze", "--dataset", str(two_ways), "--out", out],
          [str(two_ways), "task 1 is pattern_reversal", "subject S1", "radial_motion",
           "subject S2"]),
+        (["analyze", "--dataset", str(baseline_only), "--out", out],
+         [f"{baseline_only}: subject S1, task 1, recording rec.csv: "
+          "cannot evaluate accuracy of zero trials"]),
+        (["analyze", "--recording", str(rec), "--markers", str(mk), "--task", "1",
+          "--out", out], ["subject rec.csv, task 1: cannot evaluate accuracy of zero trials"]),
         (["synth", "--config", str(bad_seed), "--out", str(tmp_path / "ds")],
          [str(bad_seed), "seed"]),
         (["synth", "--config", str(bogus_protocol), "--out", str(tmp_path / "ds")],
@@ -359,6 +374,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         (["stats", "--reports", str(mixed), "--test", "rm-anova"],
          ["task 2 is radial_motion", "pattern_reversal", str(mixed / "a.json"),
           str(mixed / "b.json")]),
+        (["stats", "--reports", str(lengths), "--test", "rm-anova"],
+         ["task 2 is radial_motion at [8.0, 12.0] Hz in 5.0 s trials for subject S3 in "
+          f"{lengths / 'a.json'}", f"3.0 s trials for subject S4 in {lengths / 'b.json'}"]),
         (["stats", "--reports", str(bare), "--test", "rm-anova"],
          [str(bare / "a.json"), "task 2", "missing key 'paradigm'"]),
     ]
@@ -423,12 +441,12 @@ def test_synth_config_reads_every_protocol_field(tmp_path):
     path = tmp_path / "synth.json"
     path.write_text(json.dumps({"protocol": {
         "tasks": [{"paradigm": "gabor_pulse", "targets_hz": [72], "trials_per_target": 2,
-                   "rest_s": 4}],
+                   "rest_s": 6}],
         "baseline_s": 12, "lead_out_s": 1.5, "fs_hz": 250,
     }}))
     _, protocol = _load_synth_config(path)
     assert (protocol.baseline_s, protocol.lead_out_s, protocol.fs_hz) == (12.0, 1.5, 250.0)
-    assert protocol.tasks == (TaskProtocol("gabor_pulse", (72.0,), 2, rest_s=4.0),)
+    assert protocol.tasks == (TaskProtocol("gabor_pulse", (72.0,), 2, rest_s=6.0),)
 
 
 def test_non_finite_snr_is_degenerate_not_nan(tiny_dataset, tmp_path, capsys):
@@ -448,6 +466,7 @@ def test_non_finite_snr_is_degenerate_not_nan(tiny_dataset, tmp_path, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert all(n in err for n in ("subject S1", "task 1", "0.6 Hz")), err
+    assert err.count("subject S1") == err.count("task 1") == 1, err
     assert not report.exists()
     with pytest.raises(ValueError):
         Report(tasks=[{"rows": [{"snr_db": float("nan")}]}]).to_json()
@@ -514,6 +533,7 @@ PINNED_TINY_REPORT = {"tasks": [
         "task": 1,
         "paradigm": "radial_motion",
         "targets": [8.0, 12.0, 16.0],
+        "trial_s": 5.0,
         "aggregate": _pinned_aggregate((30.3989, 0.505), (0.6231, 0.5004)),
         "rows": [
             _pinned_row("S1", 30.8294, 1.5154,
@@ -528,6 +548,7 @@ PINNED_TINY_REPORT = {"tasks": [
         "task": 2,
         "paradigm": "gabor_pulse",
         "targets": [72.0],
+        "trial_s": 5.0,
         "aggregate": _pinned_aggregate((38.1786, 0.6864), (0.241, 0.3222)),
         "rows": [
             _pinned_row("S1", 36.8534, -0.1077, {"72.0": 36.8534}),
@@ -637,41 +658,64 @@ def test_dataset_rejects_single_recording_flags(tiny_dataset, tmp_path, capsys):
     assert not (tmp_path / "d.csv").exists() and not (tmp_path / "r.json").exists()
 
 
+def _synth_rejects(tmp_path, capsys, protocol, named):
+    """veplab synth exits 2 on protocol, naming the config, task 0 and named,
+    and writes nothing."""
+    config = tmp_path / "rejected.json"
+    config.write_text(json.dumps({"protocol": dict(protocol, n_subjects=1)}))
+    out = tmp_path / "rejected"
+    capsys.readouterr()
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(n in err for n in [f"{config}: protocol: task 0: ", *named]), err
+    assert not out.exists()
+
+
+def _edited_dataset(tmp_path, task, trial_s):
+    """The manifest of a 1-subject dataset of task, as synth writes it, with
+    its trial_s edited: analyze then reads windows synth did not write."""
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"protocol": {"n_subjects": 1, "tasks": [task]}}))
+    out = tmp_path / "ds"
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["subjects"][0]["tasks"][0]["trial_s"] = trial_s
+    path = out / "edited.json"
+    path.write_text(json.dumps(manifest))
+    return path
+
+
 def test_rest_window_past_next_onset_is_an_input_error(tmp_path, capsys):
     # 1 s rests under 5 s windows: each rest epoch would read the next
     # stimulation, and onset accuracy would come out wrong instead
-    config = tmp_path / "synth.json"
-    config.write_text(json.dumps({"protocol": {
-        "tasks": [{"paradigm": "gabor_pulse", "targets_hz": [72.0],
-                   "trials_per_target": 6, "trial_s": 5.0, "rest_s": 1.0}],
-        "n_subjects": 1,
-        "lead_out_s": 6.0,
-    }}))
-    out = tmp_path / "ds"
-    assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+    gabor = {"paradigm": "gabor_pulse", "targets_hz": [72.0], "trials_per_target": 6}
+    _synth_rejects(tmp_path, capsys, {
+        "tasks": [dict(gabor, trial_s=5.0, rest_s=1.0)], "lead_out_s": 6.0,
+    }, ["offset marker at 15.0 s", "onset marker at 16.0 s", "rest_s (and lead_out_s after "
+        "the last trial) is under trial_s"])
+    # the same fault reaches analyze only through an edited manifest
+    manifest = _edited_dataset(tmp_path, dict(gabor, trial_s=2.0, rest_s=2.0), 3.0)
     report = tmp_path / "r.json"
     capsys.readouterr()
-    assert main(["analyze", "--dataset", str(out / "manifest.json"),
-                 "--out", str(report)]) == 2
+    assert main(["analyze", "--dataset", str(manifest), "--out", str(report)]) == 2
     err = capsys.readouterr().err
-    named = ["sub01_task1_markers.csv", "offset marker at 15.0 s",
-             "onset marker at 16.0 s"]
+    named = ["sub01_task1_markers.csv", "offset marker at 12.0 s",
+             "onset marker at 14.0 s"]
     assert all(n in err for n in named), err
     assert not report.exists()
 
 
 def test_dataset_errors_name_the_manifest_entry(tmp_path, capsys):
-    # with 1 s rests and the default 2 s lead-out, the last 5 s rest window
-    # runs past the end of the recording
-    config = tmp_path / "synth.json"
-    config.write_text(json.dumps({"protocol": {
-        "tasks": [{"paradigm": "gabor_pulse", "targets_hz": [72.0],
-                   "trials_per_target": 2, "trial_s": 5.0, "rest_s": 1.0}],
-        "n_subjects": 1,
-    }}))
-    out = tmp_path / "ds"
-    assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
-    manifest = out / "manifest.json"
+    # 1 s rests under 5 s windows, and the default 2 s lead-out: each rest
+    # window would run past the next onset, the last past the recording's end
+    _synth_rejects(tmp_path, capsys, {"tasks": [
+        {"paradigm": "gabor_pulse", "targets_hz": [72.0], "trials_per_target": 2,
+         "trial_s": 5.0, "rest_s": 1.0},
+    ]}, ["rest_s (and lead_out_s after the last trial) is under trial_s"])
+    # 13 s windows reach past the 12 s after the last onset
+    manifest = _edited_dataset(tmp_path, {
+        "paradigm": "radial_motion", "targets_hz": [8.0, 12.0], "trials_per_target": 1,
+    }, 13.0)
     capsys.readouterr()
     assert main(["analyze", "--dataset", str(manifest),
                  "--out", str(tmp_path / "r.json")]) == 2
@@ -683,26 +727,30 @@ def test_dataset_errors_name_the_manifest_entry(tmp_path, capsys):
     assert type(info.value) is InputError
 
 
-def test_epoch_too_short_to_band_pass_is_an_input_error(tmp_path, capsys):
+def test_epoch_too_short_to_band_pass_is_an_input_error(tmp_path, capsys, monkeypatch):
     # a 1.05 s trial leaves 25 samples after the decoder's initial skip,
     # fewer than the 27-sample pad of an order-4 band-pass
-    config = tmp_path / "synth.json"
-    config.write_text(json.dumps({"protocol": {
-        "n_subjects": 1,
-        "tasks": [{"paradigm": "radial_motion", "targets_hz": [8, 10],
-                   "trials_per_target": 1, "trial_s": 1.05, "rest_s": 2}],
-    }}))
-    out = tmp_path / "ds"
-    assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+    radial = {"paradigm": "radial_motion", "targets_hz": [8, 10], "trials_per_target": 1}
+    too_short = "epoch of 25 samples is too short to band-pass; need > 27"
+    _synth_rejects(tmp_path, capsys, {"tasks": [dict(radial, trial_s=1.05, rest_s=2)]},
+                   ["trial_s 1.05 s after the 1.0 s skip: " + too_short])
+    manifest = _edited_dataset(tmp_path, radial, 1.05)
     report = tmp_path / "r.json"
     capsys.readouterr()
-    assert main(["analyze", "--dataset", str(out / "manifest.json"),
-                 "--out", str(report)]) == 2
+    assert main(["analyze", "--dataset", str(manifest), "--out", str(report)]) == 2
     err = capsys.readouterr().err
-    named = ["subject S1", "stage decode, trial 0",
-             "epoch of 25 samples is too short to band-pass; need > 27"]
+    named = ["subject S1", "sub01_task1_markers.csv: trial_s 1.05 s", too_short]
     assert all(n in err for n in named), err
     assert not report.exists()
+    # the rule rejects the windows before any trial is decoded; an error
+    # while one is decoded names the trial
+    def failing(*args):
+        raise InputError("decoder fault")
+
+    monkeypatch.setattr(pipeline, "fbcca_decide", failing)
+    manifest.write_text(manifest.read_text().replace('"trial_s": 1.05', '"trial_s": 5.0'))
+    assert main(["analyze", "--dataset", str(manifest), "--out", str(report)]) == 2
+    assert "stage decode, trial 0: decoder fault" in capsys.readouterr().err
 
 
 def test_markers_contradicting_the_task_are_an_input_error(tiny_dataset, tmp_path, capsys):
@@ -738,3 +786,24 @@ def test_markers_contradicting_the_task_are_an_input_error(tiny_dataset, tmp_pat
     err = capsys.readouterr().err
     assert f"{markers}: marker at 10.0 s names radial_motion" in err, err
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "one.json").exists()
+
+
+def test_task_read_in_two_window_lengths_is_an_input_error(tiny_dataset, tmp_path, capsys):
+    # S2's task 1 read in 3 s windows would be pooled with 5 s ones as one
+    # condition; the manifest defines task 1 twice and names both subjects
+    out, manifest = tiny_dataset
+    edited = json.loads(json.dumps(manifest))
+    for subject in edited["subjects"]:
+        for task in subject["tasks"]:
+            for key in ("recording", "markers"):
+                task[key] = str(out / task[key])
+    edited["subjects"][1]["tasks"][0]["trial_s"] = 3.0
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(edited))
+    capsys.readouterr()
+    assert main(["analyze", "--dataset", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert (f"task 1 is radial_motion at [8.0, 12.0, 16.0] Hz in 5.0 s trials for subject S1 "
+            f"in {path}, but radial_motion at [8.0, 12.0, 16.0] Hz in 3.0 s trials for "
+            f"subject S2 in {path}") in err, err
+    assert not (tmp_path / "r.json").exists()

@@ -100,7 +100,8 @@ def small_protocol(n_subjects=2):
     return SynthProtocol(
         tasks=(
             TaskProtocol("pattern_reversal", (7.2, 9.0, 14.0), 1, trial_s=2.0, rest_s=1.0),
-            TaskProtocol("gabor_pulse", (72.0,), 2, trial_s=2.0, rest_s=1.0),
+            # rest windows as long as the trials: onset detection scores them
+            TaskProtocol("gabor_pulse", (72.0,), 2, trial_s=2.0, rest_s=2.0),
         ),
         n_subjects=n_subjects,
         baseline_s=10.0,
@@ -180,15 +181,17 @@ def test_pink_noise_of_under_two_samples_is_silent():
 
 
 def test_zero_rest_baseline_and_lead_out_synthesize(tmp_path):
+    # five 2 s trials fill the 10 s that artifact calibration needs; FB-CCA
+    # decoding reads no rest window
     protocol = SynthProtocol(
-        tasks=(TaskProtocol("gabor_pulse", (72.0,), 2, trial_s=2.0, rest_s=0.0),),
+        tasks=(TaskProtocol("radial_motion", (8.0,), 5, trial_s=2.0, rest_s=0.0),),
         n_subjects=1,
         baseline_s=0.0,
         lead_out_s=0.0,
     )
     manifest = synth_dataset(SynthConfig(seed=3), protocol, tmp_path)
     rec = load_recording(tmp_path / manifest["subjects"][0]["tasks"][0]["recording"])
-    assert rec.n_samples == 2 * 2.0 * 500
+    assert rec.n_samples == 5 * 2.0 * 500
     assert np.all(np.isfinite(rec.samples))
 
 
@@ -254,12 +257,12 @@ def test_synth_config_rejects_invalid_field(field, value):
 
 
 def test_markers_sit_on_their_segment_starts(tmp_path):
-    # 1.001 s at 500 Hz is 500.5 samples: each trial and rest segment is
+    # 1.101 s at 500 Hz is 550.5 samples: each trial and rest segment is
     # cut to a whole number of samples, and every marker must stay on the
     # first sample of its segment instead of drifting by a sample a trial
     fs = 500.0
     protocol = SynthProtocol(
-        tasks=(TaskProtocol("radial_motion", (8.0, 12.0), 3, trial_s=1.001, rest_s=1.001),),
+        tasks=(TaskProtocol("radial_motion", (8.0, 12.0), 3, trial_s=1.101, rest_s=1.101),),
         n_subjects=1,
         fs_hz=fs,
         baseline_s=2.0,
@@ -268,7 +271,7 @@ def test_markers_sit_on_their_segment_starts(tmp_path):
     manifest = synth_dataset(SynthConfig(seed=2), protocol, tmp_path)
     task = manifest["subjects"][0]["tasks"][0]
     markers = load_markers(tmp_path / task["markers"])
-    n_base, n_trial = round(2.0 * fs), round(1.001 * fs)
+    n_base, n_trial = round(2.0 * fs), round(1.101 * fs)
     starts = n_base + 2 * n_trial * np.arange(6)
     for prefix, first in (("trial_onset", starts), ("trial_offset", starts + n_trial)):
         times = np.array([t for t, _, _ in markers.with_prefix(prefix)])
