@@ -5,13 +5,19 @@ The largest canonical correlation is the largest singular value of
 Qx^T Qy, where Qx and Qy are orthonormal bases of the centered row spaces of
 the two variable sets (Bjorck & Golub 1973). The bases come from an SVD that
 drops null directions, so a rank-deficient epoch (a virtual channel that is
-the mean of two recorded ones) needs no regularisation. Filter-bank decisions
+the mean of two recorded ones) needs no regularisation. Each basis is built
+once and shared as a `CCABasis`: a `ReferenceSet` holds one per target, built
+with the set (so every trial of a recording shares them), and `fbcca_decide`
+builds one per band-passed epoch for all its targets. `cca_corr` takes either
+an array or a `CCABasis` on each side; an array is orthonormalised by the same
+builder, so there is one arithmetic path. Filter-bank decisions
 combine per-band correlations as sum_m w(m) * rho_m^2 with
 w(m) = m**-FB_WEIGHT_A + FB_WEIGHT_B = m**-1.25 + 0.25 (Chen et al. 2015) and
 pick the argmax target (ties break toward the lowest index).
 
-cca_corr imports scipy.linalg on its first call, not at module import, so
-stimulus generation and synthesis never load scipy.
+scipy.linalg is imported when the first basis is built (by make_references
+or cca_corr), not at module import, so stimulus generation and synthesis
+never load scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import BandpassSpec, bandpass
+from .dsp import BandpassSpec, bandpass, check_harmonics
 from .errors import DegenerateDataError, InputError
 from .model import TrialEpoch
 
@@ -29,13 +35,45 @@ FB_WEIGHT_B = 0.25
 
 
 @dataclass(frozen=True)
+class CCABasis:
+    """Orthonormal basis q (samples x rank) of a row-variable set's centered
+    row space, and the set's row count."""
+
+    q: np.ndarray
+    n_rows: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(rows, samples) of the set, as for the array it was built from."""
+        return self.n_rows, self.q.shape[0]
+
+
+def _basis(m: np.ndarray, name: str) -> CCABasis:
+    """Center the rows of m, reject a zero-variance row (naming the set as
+    name) and orthonormalise what is left, dropping null directions."""
+    mc = m - m.mean(axis=1, keepdims=True)
+    if np.any(np.sum(mc**2, axis=1) == 0.0):
+        raise DegenerateDataError(f"{name} has a zero-variance row")
+    from scipy.linalg import orth
+
+    q = orth(mc.T)
+    q.flags.writeable = False
+    return CCABasis(q, m.shape[0])
+
+
+@dataclass(frozen=True)
 class ReferenceSet:
-    """Per target: 2*n_harmonics rows of sin/cos at the harmonic frequencies."""
+    """Per target: 2*n_harmonics rows of sin/cos at the harmonic frequencies,
+    and the CCA basis of those rows."""
 
     targets_hz: tuple[float, ...]
     fs_hz: float
     n_samples: int
     matrices: tuple[np.ndarray, ...]
+    bases: tuple[CCABasis, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "bases", tuple(_basis(m, "Y") for m in self.matrices))
 
     def __len__(self) -> int:
         return len(self.targets_hz)
@@ -84,11 +122,7 @@ def make_references(
         raise InputError("n_harmonics must be >= 1")
     if n_samples < 2:
         raise InputError("n_samples must be >= 2")
-    if n_harmonics * max(targets) >= fs_hz / 2:
-        raise InputError(
-            f"harmonic {n_harmonics} of {max(targets)} Hz is at or above Nyquist "
-            f"for fs {fs_hz} Hz"
-        )
+    check_harmonics(n_harmonics, targets, fs_hz)
     t = np.arange(n_samples) / fs_hz
     mats = []
     for f in targets:
@@ -105,14 +139,14 @@ def make_references(
     )
 
 
-def cca_corr(X: np.ndarray, Y: np.ndarray) -> float:
+def cca_corr(X: np.ndarray | CCABasis, Y: np.ndarray | CCABasis) -> float:
     """Largest canonical correlation between row-variable sets X and Y.
 
-    X is channels x samples, Y is references x samples; both are centered
-    internally. Returns rho in [0, 1].
+    X is channels x samples, Y is references x samples, each an array
+    (centered internally) or its CCABasis. Returns rho in [0, 1].
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+    X, Y = (m if isinstance(m, CCABasis) else np.atleast_2d(np.asarray(m, dtype=np.float64))
+            for m in (X, Y))
     if X.shape[1] != Y.shape[1]:
         raise InputError(
             f"sample counts differ: X has {X.shape[1]}, Y has {Y.shape[1]}"
@@ -120,14 +154,11 @@ def cca_corr(X: np.ndarray, Y: np.ndarray) -> float:
     n = X.shape[1]
     if n < X.shape[0] + Y.shape[0]:
         raise InputError("need more samples than total variables for CCA")
-    Xc = X - X.mean(axis=1, keepdims=True)
-    Yc = Y - Y.mean(axis=1, keepdims=True)
-    for name, m in (("X", Xc), ("Y", Yc)):
-        if np.any(np.sum(m**2, axis=1) == 0.0):
-            raise DegenerateDataError(f"{name} has a zero-variance row")
-    from scipy.linalg import orth, svdvals
+    qx, qy = (m.q if isinstance(m, CCABasis) else _basis(m, name).q
+              for name, m in (("X", X), ("Y", Y)))
+    from scipy.linalg import svdvals
 
-    rho = float(svdvals(orth(Xc.T).T @ orth(Yc.T))[0])
+    rho = float(svdvals(qx.T @ qy)[0])
     return min(rho, 1.0)
 
 
@@ -172,9 +203,9 @@ def fbcca_decide(
     weights = bank.weights()
     rho = np.zeros(len(refs))
     for m, (lo, hi) in enumerate(bank.bands):
-        banded = bandpass(epoch, BandpassSpec(lo, hi))
-        for k, ref in enumerate(refs.matrices):
-            rho[k] += weights[m] * cca_corr(banded.samples, ref) ** 2
+        banded = _basis(bandpass(epoch, BandpassSpec(lo, hi)).samples, "X")
+        for k, ref in enumerate(refs.bases):
+            rho[k] += weights[m] * cca_corr(banded, ref) ** 2
     predicted = int(np.argmax(rho))  # first max -> lowest index on ties
     return Decision(
         rho=tuple(float(r) for r in rho),
@@ -197,7 +228,7 @@ def detect_onset(
         raise InputError(f"threshold must be in (0, 1], got {threshold}")
     _check_references(epoch, ref)
     try:
-        rho = cca_corr(epoch.samples, ref.matrices[0])
+        rho = cca_corr(epoch.samples, ref.bases[0])
     except DegenerateDataError:
         rho = 0.0
     return Decision(

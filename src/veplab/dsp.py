@@ -42,6 +42,9 @@ ASR_WINDOW_S = 1.0
 ASR_CALIB_S = 10.0
 # a trial is analysed from this long after its onset marker
 SKIP_INITIAL_S = 1.0
+# sin/cos reference harmonics per target (fewer in onset mode; see
+# reference_harmonics)
+N_HARMONICS = 3
 
 # band edges bracket each paradigm's targets with margin
 PARADIGM_BANDS = {
@@ -109,15 +112,35 @@ def onset_mode(paradigm: str, targets_hz) -> bool:
     return paradigm == GABOR_PULSE and len(targets_hz) == 1
 
 
+def reference_harmonics(paradigm: str, targets_hz) -> int:
+    """Reference harmonics the decoder builds for a task: N_HARMONICS, or in
+    onset mode only those inside the paradigm's band (at least one), since
+    the others cannot appear in the band-passed epoch and would only inflate
+    the null rho."""
+    if not onset_mode(paradigm, targets_hz):
+        return N_HARMONICS
+    return max(1, min(N_HARMONICS, int(PARADIGM_BANDS[paradigm][1] // max(targets_hz))))
+
+
+def check_harmonics(n_harmonics: int, targets_hz, fs_hz: float) -> None:
+    """Harmonic n_harmonics of every target (if any) must lie below fs_hz / 2."""
+    if n_harmonics * max(targets_hz, default=0.0) >= fs_hz / 2:
+        raise InputError(
+            f"harmonic {n_harmonics} of {max(targets_hz)} Hz is at or above Nyquist "
+            f"for fs {fs_hz} Hz"
+        )
+
+
 def check_windows(paradigm, targets_hz, trial_s, fs_hz, n_samples, onsets, offsets) -> int:
     """Check that a task's windows can be analysed in a recording of
     n_samples with onset and offset markers at the sorted sample positions
     onsets and offsets; return the samples decoded per trial.
 
     The recording must hold the ASR_CALIB_S calibration stretch and the
-    paradigm's band, and a trial_s window less the SKIP_INITIAL_S skip must
-    outlast the band-pass pad. In onset mode each rest window, trial_s from
-    an offset, must end by the next onset and inside the recording.
+    paradigm's band, every reference harmonic of the targets must lie below
+    Nyquist, and a trial_s window less the SKIP_INITIAL_S skip must outlast
+    the band-pass pad. In onset mode each rest window, trial_s from an
+    offset, must end by the next onset and inside the recording.
     """
     def samples(seconds: float) -> int:
         # capped, so an overflowing product never reaches round()
@@ -126,6 +149,8 @@ def check_windows(paradigm, targets_hz, trial_s, fs_hz, n_samples, onsets, offse
     _check_calibrated(n_samples, samples(ASR_CALIB_S), fs_hz)
     with located(paradigm):
         BandpassSpec(*PARADIGM_BANDS[paradigm]).validate(fs_hz)
+    with located("targets_hz"):
+        check_harmonics(reference_harmonics(paradigm, targets_hz), targets_hz, fs_hz)
     n_window = samples(trial_s)
     n_segment = n_window - samples(SKIP_INITIAL_S)
     with located(f"trial_s {trial_s} s after the {SKIP_INITIAL_S} s skip"):

@@ -25,7 +25,8 @@ from .decode import (
     fbcca_decide,
     make_references,
 )
-from .dsp import PARADIGM_BANDS, SKIP_INITIAL_S, BandpassSpec, bandpass, check_windows, onset_mode
+from .dsp import N_HARMONICS, PARADIGM_BANDS, SKIP_INITIAL_S, BandpassSpec, bandpass, check_windows
+from .dsp import onset_mode, reference_harmonics
 from .dsp import remove_line_noise, suppress_artifacts
 from .errors import DegenerateDataError, InputError, check_finite, located
 from .model import MARKER_OFFSET, MARKER_ONSET, TRIAL_S, Recording, TrialEpoch
@@ -35,7 +36,6 @@ from .spectral import psd_boxcar, snr_at, snr_spectrum
 from .synth import default_protocol
 
 # the analysis is the same for every task and subject
-N_HARMONICS = 3
 # null rho for 4 s band-limited epochs reaches ~0.4; evoked trials at the
 # default synth amplitudes sit near 0.99
 ONSET_THRESHOLD = 0.6
@@ -186,12 +186,8 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
     ch_idx = rec.layout.index(channel)
 
     detection = onset_mode(cfg.paradigm, cfg.targets_hz)
-    n_harm = N_HARMONICS
-    if detection:
-        # harmonics outside the analysis band cannot appear in the
-        # band-passed epoch; they would only inflate the null rho
-        n_harm = max(1, min(n_harm, int(cfg.band.hi_hz // max(cfg.targets_hz))))
-    refs = make_references(cfg.targets_hz, n_harm, fs, n_segment)
+    refs = make_references(cfg.targets_hz, reference_harmonics(cfg.paradigm, cfg.targets_hz),
+                           fs, n_segment)
     bank = cfg.filter_bank(fs)
     trials = []
     for i, epoch in enumerate(epochs):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .dsp import check_windows
+from .dsp import check_harmonics, check_windows
 from .errors import InputError, check_finite, check_finite_fields, located
 from .model import MARKER_BASELINE, MARKER_OFFSET, MARKER_ONSET, TRIAL_S, ChannelLayout
 from .model import MarkerStream, Recording, TrialEpoch, save_markers, save_recording
@@ -30,6 +30,9 @@ _ARTIFACT_WIDTH_S = 0.25
 
 # amplifier resolution of every dataset recording, in microvolts
 ADC_STEP_UV = 2.0**-5
+
+# 24 h at 500 Hz; four channels this long hold about 1.4 GB of float64 samples
+MAX_SAMPLES = 24 * 3600 * 500
 
 
 @dataclass(frozen=True)
@@ -117,9 +120,15 @@ class SynthProtocol:
 
     def sample_positions(self, task: TaskProtocol) -> tuple[int, list[int], list[int]]:
         """The length of task's recording and the onset and offset sample of
-        each trial, each on its segment's first sample (summed seconds drift)."""
+        each trial, each on its segment's first sample (summed seconds drift).
+        A recording longer than MAX_SAMPLES is an InputError."""
         length_s = self.baseline_s + task.n_trials * (task.trial_s + task.rest_s) + self.lead_out_s
-        check_finite("recording samples", length_s * self.fs_hz, strict=False)
+        if not length_s * self.fs_hz <= MAX_SAMPLES:
+            raise InputError(
+                f"baseline_s + trials x (trial_s + rest_s) + lead_out_s at fs_hz gives a "
+                f"recording of {length_s * self.fs_hz:g} samples; at most {MAX_SAMPLES} "
+                "(24 h at 500 Hz)"
+            )
         n_base, n_trial, n_rest, n_out = (round(s * self.fs_hz) for s in (
             self.baseline_s, task.trial_s, task.rest_s, self.lead_out_s))
         onsets = [n_base + k * (n_trial + n_rest) for k in range(task.n_trials)]
@@ -203,15 +212,6 @@ def _segment(
     return data
 
 
-def _check_harmonics(cfg: SynthConfig, fs_hz: float, targets_hz) -> None:
-    """Every evoked harmonic of every target must lie below fs_hz / 2."""
-    if any(fs_hz <= 2 * cfg.n_harmonics * f for f in targets_hz):
-        raise InputError(
-            f"fs {fs_hz} Hz cannot represent {cfg.n_harmonics} harmonics of "
-            f"targets {targets_hz}"
-        )
-
-
 def synth_trial(
     cfg: SynthConfig,
     target_freq_hz: float,
@@ -222,7 +222,7 @@ def synth_trial(
     """One stimulation trial; pass seed_key to vary trials under one config."""
     check_finite("duration_s", duration_s)
     check_finite("fs_hz", fs_hz)
-    _check_harmonics(cfg, fs_hz, (target_freq_hz,))
+    check_harmonics(cfg.n_harmonics, (target_freq_hz,), fs_hz)
     rng = _rng_for(cfg, seed_key)
     data = _segment(cfg, rng, target_freq_hz, duration_s, fs_hz)
     return TrialEpoch(
@@ -239,7 +239,6 @@ def _subject_task_files(
 ) -> tuple[Recording, MarkerStream, list[dict]]:
     task = protocol.tasks[task_idx]
     fs = protocol.fs_hz
-    _check_harmonics(cfg, fs, task.targets_hz)
     order_rng = _rng_for(cfg, (subject, task_idx))
     targets = np.repeat(task.targets_hz, task.trials_per_target)
     order_rng.shuffle(targets)
@@ -283,6 +282,9 @@ def synth_dataset(cfg: SynthConfig, protocol: SynthProtocol, out_dir) -> dict:
     # analyze removes the line the manifest records, whatever its amplitude
     if protocol.fs_hz <= 2 * cfg.line_freq_hz:
         raise InputError(f"fs_hz {protocol.fs_hz} cannot hold the {cfg.line_freq_hz} Hz line_freq_hz")
+    for k, task in enumerate(protocol.tasks):
+        with located(f"n_harmonics {cfg.n_harmonics}, task {k}"):
+            check_harmonics(cfg.n_harmonics, task.targets_hz, protocol.fs_hz)
     os.makedirs(out_dir, exist_ok=True)
     subjects = []
     for s in range(1, protocol.n_subjects + 1):

@@ -12,7 +12,7 @@ from veplab import (
     make_references,
     synth_trial,
 )
-from veplab.decode import Decision
+from veplab.decode import Decision, _basis
 from veplab.errors import DegenerateDataError, InputError
 from veplab.synth import SynthConfig
 
@@ -125,6 +125,20 @@ def test_rho_bounds_and_scaling_invariance():
         assert abs(cca_corr(virtual, refs.matrices[0]) - rho) <= 1e-12
 
 
+def test_cca_on_prepared_bases_equals_cca_on_arrays():
+    rng = np.random.default_rng(5)
+    refs = make_references([9.0, 12.0], 3, FS, 1500)
+    X = rng.normal(size=(4, 1500))
+    # a virtual channel (the mean of two rows, like POz): rank 4 of 5
+    X = np.vstack([X, X[:2].mean(axis=0)])
+    bx = _basis(X, "X")
+    assert bx.shape == X.shape and bx.q.shape == (1500, 4)
+    for ref, by in zip(refs.matrices, refs.bases, strict=True):
+        rho = cca_corr(X, ref)
+        assert cca_corr(bx, by) == cca_corr(bx, ref) == cca_corr(X, by) == rho
+        assert cca_corr(by, bx) == cca_corr(ref, bx) == cca_corr(by, X) == cca_corr(ref, X)
+
+
 def make_epoch(target, amp=3.0, seed=0, duration=4.0):
     cfg = SynthConfig(
         evoked_amp_uV=amp,
@@ -182,6 +196,20 @@ def test_fbcca_combined_statistic_matches_hand_evaluation():
         assert abs(decision.rho[k] - expected) <= 1e-9
 
 
+def test_fbcca_rho_is_the_weighted_sum_of_array_cca_calls():
+    epoch = make_epoch(12.0)
+    refs = make_references([8.0, 12.0, 16.0], 3, FS, epoch.n_samples)
+    bank = FilterBankConfig(((6.0, 40.0), (14.0, 40.0), (22.0, 40.0)))
+    from veplab.dsp import BandpassSpec, bandpass
+
+    expected = [0.0] * len(refs)
+    for w, band in zip(bank.weights(), bank.bands, strict=True):
+        banded = bandpass(epoch, BandpassSpec(*band)).samples
+        for k, ref in enumerate(refs.matrices):
+            expected[k] += w * cca_corr(banded, ref) ** 2
+    assert fbcca_decide(epoch, refs, bank).rho == tuple(expected)
+
+
 def test_fbcca_tie_breaks_to_lowest_index():
     d = Decision(rho=(0.5, 0.5, 0.2), predicted=0, targets_hz=(8.0, 12.0, 16.0))
     assert d.predicted_hz == 8.0
@@ -215,6 +243,17 @@ def test_detect_onset_flat_epoch_is_off():
     dec = detect_onset(flat, refs, threshold=0.5)
     assert dec.rho == (0.0,)
     assert dec.threshold_pass is False
+
+
+def test_constant_epoch_is_off_for_onset_and_degenerate_for_fbcca():
+    refs = make_references([12.0], 3, FS, 2000)
+    constant = TrialEpoch("t", 12.0, np.full((3, 2000), 5.0), FS, 0.0)
+    assert detect_onset(constant, refs, threshold=0.5).rho == (0.0,)
+    # zeros stay exactly zero through the band-pass; another constant leaves
+    # rounding noise of about 1e-15
+    zeros = constant.replace_samples(np.zeros((3, 2000)))
+    with pytest.raises(DegenerateDataError, match="X has a zero-variance row"):
+        fbcca_decide(zeros, refs, FilterBankConfig(((10.0, 40.0),)))
 
 
 def test_chance_level_confidence_interval():

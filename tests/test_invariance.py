@@ -7,7 +7,9 @@ no rounding in the chain, and a common time offset moves no sample position. Rev
 columns permutes the artifact and CCA subspaces, so their floating-point sums
 run in another order: every decision stays, and the largest gaps measured on
 this dataset were |d rho| 1.3e-15 and |d SNR| 7.5e-14 dB, against bounds of
-1e-12 and 1e-9 dB.
+1e-12 and 1e-9 dB. Tripling every sample, a scale that is not a power of two,
+rounds differently at each step but keeps every decision within the same
+bounds (measured 1.3e-15 and 2.9e-13 dB).
 """
 
 import dataclasses
@@ -83,5 +85,20 @@ def test_reversed_channels_give_the_same_decisions(dataset, original, tmp_path):
         for g, w in decisions:
             assert (g.predicted, g.threshold_pass) == (w.predicted, w.threshold_pass)
             assert np.max(np.abs(np.subtract(g.rho, w.rho))) <= 1e-12
+        assert max(abs(g.snr_db_target - w.snr_db_target)
+                   for g, w in zip(got.trials, want.trials)) <= 1e-9
+
+
+def test_tripled_samples_give_the_same_decisions(dataset, original, tmp_path):
+    tripled = _transformed(
+        dataset, tmp_path,
+        recording=lambda rec: dataclasses.replace(rec, samples=rec.samples * 3.0),
+    )
+    for got, want in zip(_results(tripled), original, strict=True):
+        pairs = [(g.decision, w.decision) for g, w in zip(got.trials, want.trials, strict=True)]
+        pairs += zip(got.offset_decisions, want.offset_decisions, strict=True)
+        assert [(g.predicted, g.threshold_pass) for g, _ in pairs] == [
+            (w.predicted, w.threshold_pass) for _, w in pairs]
+        assert max(np.max(np.abs(np.subtract(g.rho, w.rho))) for g, w in pairs) <= 1e-12
         assert max(abs(g.snr_db_target - w.snr_db_target)
                    for g, w in zip(got.trials, want.trials)) <= 1e-9

@@ -435,6 +435,18 @@ def test_cli_synth_rejects_invalid_protocol(tmp_path, capsys, where, field, valu
     assert not out.exists()
 
 
+def test_cli_synth_refuses_a_recording_too_long_to_allocate(tmp_path, capsys):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"protocol": {"n_subjects": 1, "tasks": [
+        {"paradigm": "radial_motion", "targets_hz": [8, 10], "trials_per_target": 1,
+         "trial_s": 1e12}]}}))
+    out = tmp_path / "ds"
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}: protocol: task 0: " in err and "trial_s" in err, err
+    assert not out.exists()
+
+
 def test_synth_config_reads_every_protocol_field(tmp_path):
     from veplab.cli import _load_synth_config
 

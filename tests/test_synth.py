@@ -16,7 +16,7 @@ from veplab import (
 )
 from veplab import synth
 from veplab.errors import InputError
-from veplab.synth import ADC_STEP_UV, pink_noise
+from veplab.synth import ADC_STEP_UV, MAX_SAMPLES, pink_noise
 
 
 def quiet_config(**kw):
@@ -319,3 +319,21 @@ def test_dataset_recordings_are_whole_adc_steps(tmp_path, monkeypatch):
 def test_synth_trial_is_not_quantised():
     counts = synth_trial(SynthConfig(seed=6), 12.0, 2.0, 500.0).samples / ADC_STEP_UV
     assert np.mean(counts != np.rint(counts)) > 0.99
+
+
+def test_recording_samples_have_a_ceiling():
+    # one radial trial filling 24 h at 500 Hz with the 10 s baseline and the
+    # 2 s lead-out; one sample more is refused before anything is allocated
+    task = TaskProtocol("radial_motion", (8.0,), 1, trial_s=MAX_SAMPLES / 500.0 - 12.0, rest_s=0.0)
+    assert SynthProtocol((task,), n_subjects=1).sample_positions(task)[0] == MAX_SAMPLES
+    for longer in (task.trial_s + 1 / 500.0, 1e12, 1e300):
+        with pytest.raises(InputError, match=f"trial_s .* at most {MAX_SAMPLES}"):
+            SynthProtocol((TaskProtocol("radial_motion", (8.0,), 1, trial_s=longer),), n_subjects=1)
+
+
+def test_evoked_harmonics_above_nyquist_write_nothing(tmp_path):
+    # the fifth harmonic of 60 Hz is 300 Hz, above the 250 Hz Nyquist frequency
+    protocol = SynthProtocol((TaskProtocol("radial_motion", (8.0, 60.0), 1),), n_subjects=1)
+    with pytest.raises(InputError, match="n_harmonics 5, task 0: harmonic 5 of 60.0 Hz"):
+        synth_dataset(SynthConfig(n_harmonics=5), protocol, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()

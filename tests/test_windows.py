@@ -85,3 +85,20 @@ def test_rule_edges_synthesize_and_analyze(tmp_path, task, protocol, too_far, na
     with pytest.raises(InputError, match=named):
         SynthProtocol((TaskProtocol(**dict(task, **too_far)),), n_subjects=1, fs_hz=FS,
                       **protocol)
+
+
+def test_synth_refuses_targets_whose_reference_harmonics_analyze_cannot_build(tmp_path, capsys):
+    # synth itself needs one harmonic of 100 Hz, but analyze builds three
+    # (300 Hz, above the 250 Hz Nyquist frequency)
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n_harmonics": 1, "protocol": {"n_subjects": 1, "tasks": [
+        {"paradigm": "radial_motion", "targets_hz": [8, 100], "trials_per_target": 1}]}}))
+    out = tmp_path / "ds"
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}: protocol: task 0: targets_hz: harmonic 3 of 100.0 Hz" in err, err
+    assert not out.exists()
+    # 83 Hz keeps its third harmonic, 249 Hz, below Nyquist
+    config.write_text(config.read_text().replace("100", "83"))
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+    assert _analyze(out) == 0
