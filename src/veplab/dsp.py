@@ -251,7 +251,8 @@ def suppress_artifacts(rec: Recording) -> Recording:
     _check_calibrated(n, n_calib, fs)
 
     # quietest calibration stretch by total energy, searched on 1 s hops
-    energy = np.sum(x**2, axis=0)
+    squares = x**2
+    energy = np.sum(squares, axis=0)
     csum = np.concatenate([[0.0], np.cumsum(energy)])
     hop = max(1, round(fs))
     starts = range(0, n - n_calib + 1, hop)
@@ -262,7 +263,8 @@ def suppress_artifacts(rec: Recording) -> Recording:
     centered = calib - mu
     cov = centered @ centered.T / centered.shape[1]
     # a silent calibration stretch says nothing about artifact thresholds
-    global_scale = float(np.mean(x**2))
+    global_scale = float(np.mean(squares))
+    del squares
     if np.trace(cov) <= 1e-15 * max(global_scale, 1e-30):
         return rec
     from scipy.linalg import eigh
@@ -271,8 +273,7 @@ def suppress_artifacts(rec: Recording) -> Recording:
     lam = np.maximum(lam, 1e-12 * np.trace(cov))
 
     win_len = round(ASR_WINDOW_S * fs)
-    out = np.array(x)
-    changed = False
+    out = None
     start = 0
     while start < n:
         stop = min(n, start + win_len)
@@ -282,9 +283,10 @@ def suppress_artifacts(rec: Recording) -> Recording:
         bad = var > ASR_CUTOFF * lam
         if np.any(bad):
             scores[bad] = 0.0
+            if out is None:
+                out = np.array(x)
             out[:, start:stop] = vecs @ scores + mu
-            changed = True
         start = stop
-    if not changed:
+    if out is None:
         return rec
     return replace(rec, samples=out)

@@ -3,8 +3,12 @@
 Recording CSV: UTF-8, header ``time_s,<ch1>,<ch2>,...``, one row per sample,
 dot-decimal floats. Marker CSV: header ``time_s,label``. Floats are written
 with Python's shortest round-trip representation, so save/load round-trips
-are bit-exact. The recording writer formats each distinct value of a
-4,096-row block once and reuses the text for its repeats; the bytes are those
+are bit-exact. A channel name may hold no comma, line break or unpaired
+surrogate. The recording writer formats each distinct value of a 4,096-row
+block once and reuses the text for its repeats. A regular clock (times
+bit-equal to k / fs from k = 0, at a whole rate of 2s and 5s up to 10 kHz,
+each time a decimal of at most 15 digits) is written from the integers k //
+fs and k % fs instead; other times as the samples are. The bytes are those
 of formatting every cell. Sample times must be evenly spaced to within 1 %.
 A recording body is parsed by numpy's reader; the per-row parser runs only
 to name a bad row, and both read every file to the same bits or the same
@@ -110,6 +114,15 @@ class ChannelLayout:
             raise InputError("channel layout must have at least one channel")
         if len(set(self.names)) != len(self.names):
             raise InputError(f"duplicate channel names in layout: {self.names}")
+        # a recording CSV header holds each name between commas on one UTF-8 line
+        for name in self.names:
+            try:
+                name.encode("utf-8")
+            except UnicodeEncodeError:
+                raise InputError(f"channel name {name!r} is not UTF-8 encodable") from None
+            if any(c in name for c in ",\n\r"):
+                raise InputError(f"channel name {name!r} holds a comma or a line break, "
+                                 "which a recording CSV header cannot hold")
         object.__setattr__(self, "names", tuple(self.names))
 
     def index(self, name: str) -> int:
@@ -245,18 +258,64 @@ _BLOCK_ROWS = 4096
 _READER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
+def _clock_fractions(n: int, fs: float) -> np.ndarray | None:
+    """The text after the whole seconds of repr(k / fs), indexed by k % fs,
+    for every k < n; None where the rule below does not hold.
+
+    fs must be a whole number with 10**d / fs a whole number m, so k / fs is
+    the double nearest the decimal k * m / 10**d. With k * m < 10**15 that
+    decimal has at most 15 significant digits, so it is the shortest text
+    that reads back to the double: repr's. Above 10 kHz repr writes 1 / fs
+    in exponent form.
+    """
+    if not (float(fs).is_integer() and 1 <= fs <= 10_000):
+        return None
+    fs = int(fs)
+    # a rate up to 10 kHz made of 2s and 5s divides 10**13 (8192 = 2**13)
+    d = next((d for d in range(14) if 10**d % fs == 0), None)
+    if d is None or (n - 1) * (m := 10**d // fs) >= 10**15:
+        return None
+    return np.array(
+        ["." + (str(r * m).rjust(d, "0").rstrip("0") or "0") for r in range(fs)], dtype=object
+    )
+
+
+def _distinct_text(block: np.ndarray) -> np.ndarray:
+    """repr of each cell of block, formatting each distinct value once."""
+    # keyed on bit patterns, which keep 0.0 and -0.0 apart
+    bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(_fmt, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse.reshape(block.shape)]
+
+
 def save_recording(rec: Recording, path) -> None:
-    table = np.column_stack([rec.times(), rec.samples.T])
-    row_fmt = ",".join(["%s"] * table.shape[1]) + "\n"
+    n = rec.n_samples
+    fractions = _clock_fractions(n, rec.sample_rate_hz)
+    # bits, not values: a -0.0 first time is off the clock
+    if fractions is not None and rec.times_s is not None and not np.array_equal(
+        rec.times_s.view(np.uint64), (np.arange(n) / rec.sample_rate_hz).view(np.uint64)
+    ):
+        fractions = None
+    times = rec.times() if fractions is None else None
+    # a row's time takes two cells, whole seconds and fraction, so that a
+    # clock time is written from integers; off the clock the second is ""
+    cells = np.full((_BLOCK_ROWS, len(rec.layout) + 2), "", dtype=object)
+    row_fmt = "%s%s," + ",".join(["%s"] * len(rec.layout)) + "\n"
+    samples = rec.samples.T
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time_s," + ",".join(rec.layout.names) + "\n")
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start : start + _BLOCK_ROWS]
-            # keyed on bit patterns, which keep 0.0 and -0.0 apart
-            bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-            text = list(map(_fmt, bits.view(np.float64).tolist()))
-            cells = tuple([text[i] for i in inverse.ravel().tolist()])
-            fh.write((row_fmt * len(block)) % cells)
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(n, start + _BLOCK_ROWS)
+            rows = cells[: stop - start]
+            if fractions is None:
+                rows[:, 0] = _distinct_text(times[start:stop])
+            else:
+                q, r = np.divmod(np.arange(start, stop), len(fractions))
+                wholes = np.array([str(i) for i in range(q[0], q[-1] + 1)], dtype=object)
+                rows[:, 0] = wholes[q - q[0]]
+                rows[:, 1] = fractions[r]
+            rows[:, 2:] = _distinct_text(samples[start:stop])
+            fh.write((row_fmt * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _parse_rows(fh, path, ncol: int) -> np.ndarray:

@@ -62,8 +62,9 @@ class SynthConfig:
             raise InputError("harmonic_decay must be in [0, 1]")
         if self.n_harmonics < 1:
             raise InputError("n_harmonics must be >= 1")
-        if not self.channel_gains:
-            raise InputError("channel_gains must name at least one channel")
+        # the names a recording's layout will hold
+        with located("channel_gains"):
+            ChannelLayout(self.channel_names)
 
     @property
     def channel_names(self) -> tuple[str, ...]:

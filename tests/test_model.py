@@ -16,6 +16,8 @@ from veplab import (
     save_recording,
 )
 from veplab.errors import InputError, ParseError
+from veplab.model import _clock_fractions
+from veplab.synth import MAX_SAMPLES
 
 
 def make_recording(rng, n_ch=3, n=40, fs=500.0):
@@ -32,6 +34,19 @@ def test_layout_rejects_duplicates_and_empty():
         ChannelLayout(("a", "a"))
     with pytest.raises(InputError):
         ChannelLayout(())
+
+
+@pytest.mark.parametrize("name", ["Pz,x", "Pz\nx", "Pz\rx", "Pz\ud800"])
+def test_layout_rejects_names_a_csv_header_cannot_hold(name):
+    with pytest.raises(InputError, match="channel name"):
+        ChannelLayout(("Oz", name))
+
+
+def test_unusual_names_round_trip(tmp_path):
+    names = ("P z", "Ωz", "", "Oz;1", '"Pz"')
+    p = tmp_path / "rec.csv"
+    save_recording(Recording(500.0, ChannelLayout(names), np.zeros((5, 3))), p)
+    assert load_recording(p).layout.names == names
 
 
 def test_recording_invariants():
@@ -144,15 +159,16 @@ def test_save_matches_per_cell_repr(tmp_path):
     special = np.array([-0.0, 5e-324, 1.7e308, 3.0, -12.0, 0.1, 1e16])
     rng = np.random.default_rng(7)
 
-    def check(samples, times, name):
-        rec = Recording(500.0, ChannelLayout(("Pz", "Oz")), samples, times_s=times)
+    def check(samples, times, name, fs=500.0):
+        rec = Recording(fs, ChannelLayout(("Pz", "Oz")), samples, times_s=times)
         expected = "time_s,Pz,Oz\n" + "".join(
-            ",".join(repr(float(v)) for v in (times[j], *samples[:, j])) + "\n"
-            for j in range(samples.shape[1])
+            ",".join(repr(float(v)) for v in (t, *samples[:, j])) + "\n"
+            for j, t in enumerate(rec.times())
         )
         p = tmp_path / f"{name}.csv"
         save_recording(rec, p)
         assert p.read_bytes() == expected.encode("utf-8"), name
+        return p
 
     for n in (1, 4095, 4096, 4097):
         samples = rng.normal(size=(2, n)) * 10
@@ -167,6 +183,49 @@ def test_save_matches_per_cell_repr(tmp_path):
         samples[0, ::3] = 0.0
         samples[0, 1::7] = -0.0
         check(samples, np.arange(n) / 500.0, f"steps{n}")
+    # regular clocks written from integers at the first seven rates, by repr
+    # at the others, and every clock that does not start at sample 0
+    n = 4097
+    samples = np.round(rng.normal(size=(2, n)) * 2) / 32
+    for fs in (500.0, 250.0, 1000.0, 2000.0, 256.0, 512.0, 1.0, 1024.0, 600.0, 20000.0):
+        assert (_clock_fractions(n, fs) is None) == (fs in (600.0, 20000.0))
+        check(samples, None, f"clock{fs:g}", fs)
+        for start in (0.0, 1 / 3, -2.0):
+            check(samples, start + np.arange(n) / fs, f"from{start:g}_at{fs:g}", fs)
+        times = np.arange(n) / fs
+        times[0] = -0.0
+        check(samples, times, f"signed_zero_at{fs:g}", fs)
+    loaded = load_recording(check(samples, None, "written", 1000.0))
+    check(loaded.samples, loaded.times_s, "loaded", loaded.sample_rate_hz)
+
+
+def test_clock_fractions_rule():
+    # 600 = 2^3 x 3 x 5^2 has no finite decimal period; repr writes 1/20000 as
+    # 5e-05; a rate must be whole
+    for fs in (600.0, 20000.0, 3.0, 500.5):
+        assert _clock_fractions(10, fs) is None
+    # at 500 Hz k / 500 is the decimal k x 2 / 1000: 15 digits up to k = 5e14 - 1
+    assert _clock_fractions(5 * 10**14, 500.0) is not None
+    assert _clock_fractions(5 * 10**14 + 1, 500.0) is None
+    # at 1024 Hz m = 10^10 / 1024 = 9765625; past the bound the exact decimal
+    # can be longer than repr
+    assert _clock_fractions(102_400_000, 1024.0) is not None
+    assert _clock_fractions(102_400_001, 1024.0) is None
+    k = 10**10 + 1
+    assert str(k // 1024) + _clock_fractions(1, 1024.0)[k % 1024] == "9765625.0009765625"
+    assert repr(k / 1024) == "9765625.000976562"
+
+
+def test_clock_text_is_repr_at_500_hz():
+    # every fraction, after whole seconds 0 and each power of ten that a
+    # synthesised recording reaches
+    fractions = _clock_fractions(MAX_SAMPLES, 500.0)
+    assert len(fractions) == 500
+    wholes = [0] + [10**e for e in range(len(str(MAX_SAMPLES // 500)))]
+    assert wholes[-1] <= MAX_SAMPLES // 500
+    for q in wholes:
+        for r, fraction in enumerate(fractions):
+            assert str(q) + fraction == repr((q * 500 + r) / 500.0), (q, r)
 
 
 def test_markers_roundtrip_and_vocabulary(tmp_path):

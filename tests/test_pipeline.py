@@ -435,6 +435,19 @@ def test_cli_synth_rejects_invalid_protocol(tmp_path, capsys, where, field, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["Pz,x", "Pz\nx", "Pz\ud800"])
+def test_cli_synth_rejects_a_channel_name_the_csv_header_cannot_hold(tmp_path, capsys, name):
+    # each used to synthesise a dataset that analyze could not read, or to end
+    # in a UnicodeEncodeError traceback
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"channel_gains": {name: 0.9, "Oz": 1.0}}))
+    out = tmp_path / "ds"
+    assert main(["synth", "--config", str(config), "--subjects", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}: channel_gains: channel name" in err, err
+    assert not out.exists()
+
+
 def test_cli_synth_refuses_a_recording_too_long_to_allocate(tmp_path, capsys):
     config = tmp_path / "synth.json"
     config.write_text(json.dumps({"protocol": {"n_subjects": 1, "tasks": [
