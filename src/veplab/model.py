@@ -4,15 +4,17 @@ Recording CSV: UTF-8, header ``time_s,<ch1>,<ch2>,...``, one row per sample,
 dot-decimal floats. Marker CSV: header ``time_s,label``. Floats are written
 with Python's shortest round-trip representation, so save/load round-trips
 are bit-exact. A channel name may hold no comma, line break or unpaired
-surrogate. The recording writer formats each distinct value of a 4,096-row
-block once and reuses the text for its repeats. A regular clock (times
-bit-equal to k / fs from k = 0, at a whole rate of 2s and 5s up to 10 kHz,
-each time a decimal of at most 15 digits) is written from the integers k //
-fs and k % fs instead; other times as the samples are. The bytes are those
-of formatting every cell. Sample times must be evenly spaced to within 1 %.
-A recording body is parsed by numpy's reader; the per-row parser runs only
-to name a bad row, and both read every file to the same bits or the same
-error.
+surrogate. The recording writer puts each cell's separator into its text
+and writes a 4,096-row block with one join. A regular clock (times bit-equal
+to k / fs from k = 0, at a whole rate of 2s and 5s up to 10 kHz, each time a
+decimal of at most 15 digits) is written from the integers k // fs and k %
+fs. A column whose every value is k / 2**e for a whole k of bounded range (a
+synthetic recording's samples on the ADC grid) is written from one text per
+k that occurs in the recording; any other column formats each distinct value
+of a block once. The bytes are those of formatting every cell. Sample times
+must be evenly spaced to within 1 %. A recording body is parsed by numpy's
+reader, given the file's path; the per-row parser runs only to name a bad
+row, and both read every file to the same bits or the same error.
 
 `json_value` is the typed-key check shared by the JSON readers (dataset
 manifest, synth config, report), and `json_task` reads a task's definition
@@ -22,8 +24,10 @@ from a manifest or report.
 from __future__ import annotations
 
 import math
+import os
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -253,6 +257,8 @@ def _fmt(x: float) -> str:
 # rows formatted at once; bounds the text built at once (~340 kB at 4 channels)
 _BLOCK_ROWS = 4096
 
+_NEG_ZERO = 1 << 63  # the bit pattern of -0.0
+
 # numpy's reader strips these characters around a number as whitespace,
 # float() does not
 _READER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
@@ -280,15 +286,74 @@ def _clock_fractions(n: int, fs: float) -> np.ndarray | None:
     )
 
 
-def _distinct_text(block: np.ndarray) -> np.ndarray:
-    """repr of each cell of block, formatting each distinct value once."""
+def _distinct_text(block: np.ndarray, sep: str) -> np.ndarray:
+    """sep + repr of each cell of block, formatting each distinct value once."""
     # keyed on bit patterns, which keep 0.0 and -0.0 apart
     bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-    text = np.array(list(map(_fmt, bits.view(np.float64).tolist())), dtype=object)
+    text = np.array([sep + _fmt(x) for x in bits.view(np.float64).tolist()], dtype=object)
     return text[inverse.reshape(block.shape)]
 
 
+def _grid_exponent(values: np.ndarray) -> int | None:
+    """The least e for which every value is k / 2**e with k whole, read from
+    the values' bits a block at a time; None when a value is -0.0, which k = 0
+    would write as 0.0."""
+    low = 1075  # above the lowest set bit 2**low of any nonzero double
+    for start in range(0, len(values), _BLOCK_ROWS):
+        block = values[start : start + _BLOCK_ROWS]
+        if np.any(block.view(np.uint64) == _NEG_ZERO):
+            return None
+        # block = j * 2**(p - 53) with j whole, and j & -j = 2**(t - 1) is
+        # j's lowest set bit
+        m, p = np.frexp(block)
+        j = np.ldexp(m, 53).astype(np.int64)
+        t = np.frexp((j & -j).astype(np.float64))[1]
+        low = min(low, int(np.min(p + t - 54, where=j != 0, initial=low)))
+    return -low
+
+
+def _column_text(values: np.ndarray, sep: str) -> Callable[[int, int], np.ndarray]:
+    """A function of (start, stop) giving sep + repr of each cell of
+    values[start:stop], a block of at most _BLOCK_ROWS rows.
+
+    When every value is k / 2**e for a whole k (no -0.0, |k| < 2**53, and the
+    k range no wider than the cell count), each k that occurs is formatted
+    once, here, and a block is looked up by k - lo: scaling by a power of two
+    is exact, so that text is repr of the same double. Otherwise each block
+    formats its distinct values.
+    """
+    e = _grid_exponent(values) if values.size else None
+    if e is not None:
+        with np.errstate(over="ignore"):  # an overflow reads inf, past the bound
+            lo, hi = np.ldexp([values.min(), values.max()], e)
+        if max(-lo, hi) < 2**53 and hi - lo < values.size:
+            lo = int(lo)
+            seen = np.zeros(int(hi) - lo + 1, dtype=bool)
+            for start in range(0, len(values), _BLOCK_ROWS):
+                seen[np.ldexp(values[start : start + _BLOCK_ROWS], e).astype(np.int64) - lo] = True
+            k = np.flatnonzero(seen)
+            text = np.empty(len(seen), dtype=object)
+            text[k] = np.array(
+                [sep + _fmt(x) for x in np.ldexp((k + lo).astype(np.float64), -e).tolist()],
+                dtype=object,
+            )
+            return lambda start, stop: text[np.ldexp(values[start:stop], e).astype(np.int64) - lo]
+    return lambda start, stop: _distinct_text(values[start:stop], sep)
+
+
 def save_recording(rec: Recording, path) -> None:
+    """Write rec as a recording CSV whose bytes are those of repr on every cell.
+
+    Each cell's text is built with its separator in front (a line break before
+    a row's time, a comma before each sample), and a block of rows is written
+    with one join. The text comes from one of three sources:
+    - a regular clock's times from the integers k // fs and k % fs
+      (_clock_fractions);
+    - values on a power-of-two grid from one text per grid value that occurs
+      in the recording (_column_text);
+    - any other values from one text per distinct value of a block
+      (_distinct_text).
+    """
     n = rec.n_samples
     fractions = _clock_fractions(n, rec.sample_rate_hz)
     # bits, not values: a -0.0 first time is off the clock
@@ -296,26 +361,26 @@ def save_recording(rec: Recording, path) -> None:
         rec.times_s.view(np.uint64), (np.arange(n) / rec.sample_rate_hz).view(np.uint64)
     ):
         fractions = None
-    times = rec.times() if fractions is None else None
+    times = _column_text(rec.times(), "\n") if fractions is None else None
+    samples = _column_text(rec.samples.T, ",")
     # a row's time takes two cells, whole seconds and fraction, so that a
     # clock time is written from integers; off the clock the second is ""
     cells = np.full((_BLOCK_ROWS, len(rec.layout) + 2), "", dtype=object)
-    row_fmt = "%s%s," + ",".join(["%s"] * len(rec.layout)) + "\n"
-    samples = rec.samples.T
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("time_s," + ",".join(rec.layout.names) + "\n")
+        fh.write("time_s," + ",".join(rec.layout.names))
         for start in range(0, n, _BLOCK_ROWS):
             stop = min(n, start + _BLOCK_ROWS)
             rows = cells[: stop - start]
             if fractions is None:
-                rows[:, 0] = _distinct_text(times[start:stop])
+                rows[:, 0] = times(start, stop)
             else:
                 q, r = np.divmod(np.arange(start, stop), len(fractions))
-                wholes = np.array([str(i) for i in range(q[0], q[-1] + 1)], dtype=object)
+                wholes = np.array(["\n" + str(i) for i in range(q[0], q[-1] + 1)], dtype=object)
                 rows[:, 0] = wholes[q - q[0]]
                 rows[:, 1] = fractions[r]
-            rows[:, 2:] = _distinct_text(samples[start:stop])
-            fh.write((row_fmt * len(rows)) % tuple(rows.ravel().tolist()))
+            rows[:, 2:] = samples(start, stop)
+            fh.write("".join(rows.ravel().tolist()))
+        fh.write("\n")
 
 
 def _parse_rows(fh, path, ncol: int) -> np.ndarray:
@@ -340,7 +405,8 @@ def _parse_rows(fh, path, ncol: int) -> np.ndarray:
 
 
 def _parse_table(fh, path, ncol: int) -> np.ndarray:
-    """Rows x ncol table of the lines left in fh.
+    """Rows x ncol table of the lines after the header line of fh, the open
+    file at path.
 
     numpy's reader parses the body when it can, to the same bits as float();
     the per-row parser runs only where the two may disagree or the reader
@@ -354,15 +420,21 @@ def _parse_table(fh, path, ncol: int) -> np.ndarray:
         plain = not any(c in chunk for c in _READER_ONLY_SPACE)
         blank = blank and not chunk.strip("\n")
     fh.seek(body)
-    if plain and not blank:
+    # Given a path the reader parses blocks of text, given fh one line at a
+    # time. It opens a name ending in a compression suffix as compressed, and
+    # a URL as a download; an absolute path is never a URL.
+    name = os.path.abspath(os.fsdecode(path))
+    if plain and not blank and not name.endswith((".gz", ".bz2", ".xz", ".lzma")):
         try:
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            # strict UTF-8: an undecodable byte raises UnicodeDecodeError, a
+            # ValueError, and the per-row parser names its row
+            table = np.loadtxt(name, delimiter=",", comments=None, ndmin=2, skiprows=1,
+                               encoding="utf-8")
         except ValueError:
             pass
         else:
             if table.shape[1] == ncol and np.all(np.isfinite(table)):
                 return table
-        fh.seek(body)
     return _parse_rows(fh, path, ncol)
 
 

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from veplab import (
     save_markers,
     save_recording,
 )
+from veplab import model
 from veplab.errors import InputError, ParseError
 from veplab.model import _clock_fractions
 from veplab.synth import MAX_SAMPLES
@@ -101,6 +103,21 @@ def test_load_rejects_nan_cell_naming_row(tmp_path):
     p.write_text("time_s,a\n0.0,1.0\n0.002,nan\n0.004,2.0\n")
     with pytest.raises(ParseError, match="row 3"):
         load_recording(p)
+
+
+def test_load_names_the_row_numpys_reader_reads_otherwise(tmp_path):
+    # numpy's reader reads the file as strict UTF-8 and strips \x1c around a
+    # number; the per-row parser reads U+FFFD for the byte and keeps \x1c
+    for name, row in (("undecodable", b"0.002,\xff2.0\n"), ("separator", b"0.002,\x1c2.0\n")):
+        p = tmp_path / f"{name}.csv"
+        p.write_bytes(b"time_s,a\n0.0,1.0\n" + row)
+        with pytest.raises(ParseError, match="row 3 has a non-numeric cell"):
+            load_recording(p)
+    # numpy's reader opens a name with a compression suffix as compressed
+    for suffix in (".gz", ".bz2", ".xz", ".lzma"):
+        p = tmp_path / f"plain.csv{suffix}"
+        p.write_text("time_s,a\n0.0,1.0\n0.002,2.0\n")
+        assert load_recording(p).samples.tolist() == [[1.0, 2.0]]
 
 
 def test_load_rejects_ragged_row(tmp_path):
@@ -197,6 +214,36 @@ def test_save_matches_per_cell_repr(tmp_path):
         check(samples, times, f"signed_zero_at{fs:g}", fs)
     loaded = load_recording(check(samples, None, "written", 1000.0))
     check(loaded.samples, loaded.times_s, "loaded", loaded.sample_rate_hz)
+    # samples every one of which is k / 2**e with |k| < 2**53, no -0.0 and a
+    # k range no wider than the cell count are written from one text per k of
+    # the recording; any others by the distinct values of each block
+
+    def check_path(samples, name, grid):
+        with mock.patch.object(model, "_distinct_text", wraps=model._distinct_text) as spy:
+            check(samples, None, name)
+        assert spy.called != grid, name
+
+    k = rng.integers(-3000, 3000, size=(2, 4097)).astype(np.float64)
+    for e in (0, 30, 1074, -10):
+        check_path(np.ldexp(k, -e), f"grid{e}", True)
+    check_path(k * 5, "wider_than_cells", False)
+    near = 2.0**53 - rng.integers(1, 100, size=(2, 4097))
+    check_path(near, "below_2_53", True)
+    check_path(-near, "above_minus_2_53", True)
+    at = near.copy()
+    at[1, 4096] = 2.0**53
+    check_path(at, "at_2_53", False)
+    check_path(-at, "at_minus_2_53", False)
+    # the one value that leaves the grid sits in the last block
+    steps = rng.integers(-64, 64, size=(2, 8193)) / 32
+    check_path(steps, "grid_8193", True)
+    for i, odd in ((0, -0.0), (1, 0.1)):
+        last = steps.copy()
+        last[i, 8192] = odd
+        check_path(last, f"off_grid_at_8192_{odd!r}", False)
+    # one row of 2 cells: a k range of 2 values is on the grid path, of 3 not
+    check_path(np.array([[1.0], [2.0]]), "one_row", True)
+    check_path(np.array([[1.0], [3.0]]), "one_row_wide", False)
 
 
 def test_clock_fractions_rule():
