@@ -7,14 +7,13 @@ Exit codes: 0 success, 2 input error, 3 numeric degeneracy.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import MISSING, fields, replace
 
 from .decode import Decision
 from .errors import DegenerateDataError, InputError, check_finite, located
-from .model import json_task, json_value
+from .model import json_task, json_text, json_value, read_json
 from .pipeline import (
     PipelineConfig,
     Report,
@@ -52,8 +51,7 @@ def _cmd_stimgen(args) -> int:
     )
     schedule = build_frame_schedule(spec)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(schedule.to_json())
-        fh.write("\n")
+        fh.write(schedule.to_json() + "\n")
     print(f"wrote {schedule.n_frames} frames to {args.out}")
     if args.render_dir:
         n = write_frame_stack(spec, schedule, args.render_dir)
@@ -93,12 +91,7 @@ def _json_fields(where: str, cls, raw, **required) -> dict:
 
 
 def _load_synth_config(path) -> tuple[SynthConfig, SynthProtocol | None]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except ValueError as exc:
-        # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
-        raise InputError(f"{path}: not valid JSON: {exc}") from None
+    raw = read_json(path)
     proto_raw = raw.pop("protocol", None) if isinstance(raw, dict) else None
     values = _json_fields(path, SynthConfig, raw)
     with located(path):
@@ -208,12 +201,7 @@ def _cmd_stats(args) -> int:
     for name in sorted(os.listdir(args.reports)):
         if name.endswith(".json"):
             path = os.path.join(args.reports, name)
-            with open(path, "r", encoding="utf-8") as fh:
-                try:
-                    data = json.load(fh)
-                except ValueError as exc:
-                    # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
-                    raise InputError(f"{path}: not a report JSON: {exc}") from None
+            data = read_json(path)
             if isinstance(data, dict) and "tasks" in data:
                 reports.append((path, _report_tasks(path, data)))
     if not reports:
@@ -230,7 +218,7 @@ def _cmd_stats(args) -> int:
             merged.setdefault(t["task"], dict(t, rows=[]))["rows"].extend(t["rows"])
     combined = Report(tasks=[merged[k] for k in sorted(merged)])
     out = stats_report(combined, test=args.test, metric=args.metric)
-    text = json.dumps(out, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = json_text(out)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -16,13 +16,14 @@ must be evenly spaced to within 1 %. A recording body is parsed by numpy's
 reader, given the file's path; the per-row parser runs only to name a bad
 row, and both read every file to the same bits or the same error.
 
-`json_value` is the typed-key check shared by the JSON readers (dataset
-manifest, synth config, report), and `json_task` reads a task's definition
-from a manifest or report.
+`read_json` and `json_text` are the one JSON decoder and encoder; `json_value`
+is the readers' typed-key check, `json_task` a task's definition in a manifest
+or report, and `check_label` the character rule of a channel name or subject.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
@@ -67,6 +68,30 @@ def _is_json(value, kind) -> bool:
         # false for NaN, infinities and integers too large for a float
         return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, kind)
+
+
+def read_json(path):
+    """The JSON document in the file at path; errors name the file once."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:  # str(exc) would name the file a second time
+        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, an over-long int, too deep
+        raise InputError(f"{path}: cannot read JSON: {exc}") from None
+
+
+def json_text(doc) -> str:
+    """doc as JSON text: sorted keys, indent 2, no NaN, a final line break."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def check_label(label: str, what: str, separator: str, holder: str) -> str:
+    """label once it holds no separator, line break or lone surrogate (no UTF-8)."""
+    found = re.search(f"[{re.escape(separator)}\n\r\ud800-\udfff]", label)
+    if found:
+        raise InputError(f"{what} {label!r} holds {found[0]!r}, which {holder} cannot hold")
+    return label
 
 
 def json_value(obj: dict, key: str, kind, where: str, item=None, required=True):
@@ -118,15 +143,8 @@ class ChannelLayout:
             raise InputError("channel layout must have at least one channel")
         if len(set(self.names)) != len(self.names):
             raise InputError(f"duplicate channel names in layout: {self.names}")
-        # a recording CSV header holds each name between commas on one UTF-8 line
         for name in self.names:
-            try:
-                name.encode("utf-8")
-            except UnicodeEncodeError:
-                raise InputError(f"channel name {name!r} is not UTF-8 encodable") from None
-            if any(c in name for c in ",\n\r"):
-                raise InputError(f"channel name {name!r} holds a comma or a line break, "
-                                 "which a recording CSV header cannot hold")
+            check_label(name, "channel name", ",", "a recording CSV header")
         object.__setattr__(self, "names", tuple(self.names))
 
     def index(self, name: str) -> int:

@@ -8,7 +8,6 @@ assembles the per-subject performance/fatigue table with mean +- SE rows.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -30,8 +29,8 @@ from .dsp import onset_mode, reference_harmonics
 from .dsp import remove_line_noise, suppress_artifacts
 from .errors import DegenerateDataError, InputError, check_finite, located
 from .model import MARKER_OFFSET, MARKER_ONSET, TRIAL_S, Recording, TrialEpoch
-from .model import derive_virtual_channel, extract_epochs, json_task, json_value
-from .model import load_markers, load_recording
+from .model import check_label, derive_virtual_channel, extract_epochs, json_task, json_text
+from .model import json_value, load_markers, load_recording, read_json
 from .spectral import psd_boxcar, snr_at, snr_spectrum
 from .synth import default_protocol
 
@@ -157,10 +156,19 @@ def _post_skip(epoch: TrialEpoch) -> TrialEpoch:
     return epoch.replace_samples(epoch.samples[:, k0:])
 
 
+def _check_subject(subject: str, what: str) -> str:
+    """subject once it is non-empty and a markdown report row can hold it."""
+    if not subject:
+        raise InputError(f"{what} is empty; a report row needs a subject")
+    return check_label(subject, what, "|", "a markdown report row")
+
+
 def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
     """Run the full analysis chain for one recording/marker pair."""
     if not cfg.recording_path or not cfg.markers_path:
         raise InputError("config must carry recording_path and markers_path")
+    subject = cfg.subject or os.path.basename(str(cfg.recording_path)).split("_")[0]
+    _check_subject(subject, f"{cfg.recording_path}: subject")
     rec = _staged("load", None, load_recording, cfg.recording_path)
     markers = _staged("load", None, load_markers, cfg.markers_path)
     positions = []  # of the onset, then the offset markers
@@ -219,7 +227,6 @@ def analyze_recording(cfg: PipelineConfig) -> SubjectTaskResult:
             for i, epoch in enumerate(rest_epochs)
         ]
 
-    subject = cfg.subject or os.path.basename(str(cfg.recording_path)).split("_")[0]
     return SubjectTaskResult(subject=subject, task=cfg.task, paradigm=cfg.paradigm,
                              trials=trials, offset_decisions=offset_decisions)
 
@@ -268,8 +275,7 @@ class Report:
     tasks: list[dict]
 
     def to_json(self) -> str:
-        body = {"tasks": self.tasks}
-        return json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json_text({"tasks": self.tasks})
 
     def subjects(self) -> list[str]:
         """Row subjects, once every task holds the same ones in the same order."""
@@ -328,12 +334,10 @@ def _task_entry(cfg: PipelineConfig, rows: list[dict]) -> dict:
     }
 
 
-def result_report(
-    cfg: PipelineConfig, result: SubjectTaskResult, fatigue: float | None = None
-) -> Report:
+def result_report(cfg: PipelineConfig, result: SubjectTaskResult) -> Report:
     """Wrap one analyzed recording as a single-subject report."""
     with located(f"subject {result.subject}, task {result.task}"):
-        row = _row_from_result(result, fatigue)
+        row = _row_from_result(result, None)
     return Report(tasks=[_task_entry(cfg, [row])])
 
 
@@ -364,14 +368,7 @@ def _manifest_entries(manifest_path: str) -> list[tuple[PipelineConfig, float | 
     subject, the task and the key.
     """
     base = os.path.dirname(manifest_path)
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read manifest: {exc}")
-    except ValueError as exc:
-        # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
-        raise InputError(f"{manifest_path}: malformed manifest: {exc}") from None
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise InputError(f"{manifest_path}: top level must be a JSON object")
     # the mains frequency synth wrote into the data; 50 Hz when not recorded
@@ -382,8 +379,9 @@ def _manifest_entries(manifest_path: str) -> list[tuple[PipelineConfig, float | 
         json_value(config, "line_freq_hz", float, f"{manifest_path}: config"),
     ))
     entries: list[tuple[PipelineConfig, float | None]] = []
-    for subj in json_value(manifest, "subjects", list, manifest_path, item=dict):
-        sid = json_value(subj, "id", str, f"{manifest_path}: subject")
+    for k, subj in enumerate(json_value(manifest, "subjects", list, manifest_path, item=dict)):
+        at_id = f"{manifest_path}: subject entry {k}"
+        sid = _check_subject(json_value(subj, "id", str, at_id), f"{at_id}: id")
         where = f"{manifest_path}: subject {sid}"
         baseline_items = json_value(
             subj, "vasf_baseline_items", list, where, item=float, required=False

@@ -54,11 +54,8 @@ def psd_boxcar(epoch: TrialEpoch) -> PowerSpectrum:
     seg = epoch.samples - epoch.samples.mean(axis=1, keepdims=True)
     spec = np.fft.rfft(seg, axis=1)
     power = np.abs(spec) ** 2 / (fs * n)
-    scale = np.full(power.shape[1], 2.0)
-    scale[0] = 1.0
-    if n % 2 == 0:
-        scale[-1] = 1.0
-    power *= scale[None, :]
+    # one-sided: double every bin but DC and (for even n) Nyquist
+    power[:, 1:(n + 1) // 2] *= 2.0
     return PowerSpectrum(
         freqs_hz=np.fft.rfftfreq(n, 1.0 / fs),
         power=power,

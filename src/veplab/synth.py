@@ -12,7 +12,6 @@ step with a short decimal form. synth_trial returns unrounded samples.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -21,7 +20,7 @@ import numpy as np
 from .dsp import check_harmonics, check_windows
 from .errors import InputError, check_finite, check_finite_fields, located
 from .model import MARKER_BASELINE, MARKER_OFFSET, MARKER_ONSET, TRIAL_S, ChannelLayout
-from .model import MarkerStream, Recording, TrialEpoch, save_markers, save_recording
+from .model import MarkerStream, Recording, TrialEpoch, json_text, save_markers, save_recording
 from .stimgen import GABOR_PULSE, PARADIGMS, PATTERN_REVERSAL, RADIAL_MOTION
 
 DEFAULT_GAINS = {"Pz": 0.9, "Oz": 1.0, "O1": 0.85, "O2": 0.8}
@@ -316,14 +315,13 @@ def synth_dataset(cfg: SynthConfig, protocol: SynthProtocol, out_dir) -> dict:
     manifest = {
         "fs_hz": protocol.fs_hz,
         "seed": cfg.seed,
-        "config": {k: v for k, v in asdict(cfg).items()},
+        "config": asdict(cfg),
         "subjects": subjects,
     }
     path = os.path.join(out_dir, "manifest.json")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(json_text(manifest))
     except OSError as exc:
         raise InputError(f"cannot write manifest to {path}: {exc}")
     return manifest

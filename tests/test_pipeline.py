@@ -460,6 +460,58 @@ def test_cli_synth_refuses_a_recording_too_long_to_allocate(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_json_nested_too_deep_to_decode_exits_2_naming_the_file(tmp_path, capsys):
+    # deeper than the decoder goes: each command used to end in a
+    # RecursionError traceback. Written as text, since json.dumps recurses too
+    deep = "[" * 100_000 + "]" * 100_000
+    document = tmp_path / "deep.json"
+    document.write_text(deep)
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    (reports / "deep.json").write_text(deep)
+    for argv, named in (
+        (["analyze", "--dataset", str(document), "--out", str(tmp_path / "r.json")], document),
+        (["synth", "--config", str(document), "--out", str(tmp_path / "ds")], document),
+        (["stats", "--reports", str(reports), "--test", "rm-anova"], reports / "deep.json"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert f"{named}: cannot read JSON: " in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("subject", ["", "S|1", "S\n1", "S\ud800"])
+def test_manifest_subject_a_report_row_cannot_hold_exits_2(tiny_dataset, tmp_path, capsys,
+                                                           subject):
+    # "" was reported as sub01, "S|1" added a markdown column, "S\n1" split
+    # its row and "S\ud800" ended in a UnicodeEncodeError traceback
+    out, manifest = tiny_dataset
+    edited = json.loads(json.dumps(manifest))
+    edited["subjects"][1]["id"] = subject
+    path = out / "edited_id.json"
+    path.write_text(json.dumps(edited))
+    capsys.readouterr()
+    assert main(["analyze", "--dataset", str(path), "--format", "markdown",
+                 "--out", str(tmp_path / "r.md")]) == 2
+    assert f"{path}: subject entry 1: id " in capsys.readouterr().err
+    assert not (tmp_path / "r.md").exists()
+
+
+@pytest.mark.parametrize("name", ["S|1_task1_recording.csv", "_task1_recording.csv"])
+def test_recording_file_name_a_report_row_cannot_hold_exits_2(tiny_dataset, tmp_path, capsys,
+                                                              name):
+    # without a manifest the subject is the file name's prefix before "_"
+    out, _ = tiny_dataset
+    recording = tmp_path / name
+    recording.write_bytes((out / "sub01_task1_recording.csv").read_bytes())
+    capsys.readouterr()
+    assert main(["analyze", "--recording", str(recording),
+                 "--markers", str(out / "sub01_task1_markers.csv"), "--task", "2",
+                 "--format", "markdown", "--out", str(tmp_path / "r.md")]) == 2
+    assert f"{recording}: subject " in capsys.readouterr().err
+    assert not (tmp_path / "r.md").exists()
+
+
 def test_synth_config_reads_every_protocol_field(tmp_path):
     from veplab.cli import _load_synth_config
 

@@ -44,6 +44,15 @@ def test_parseval_matches_variance():
     assert abs(total - var) <= 1e-6 * var
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 2001])
+def test_parseval_holds_at_odd_and_short_lengths(n):
+    # the one-sided doubling spares DC, and the Nyquist bin only at even n
+    x = np.random.default_rng(n).normal(size=n)
+    psd = psd_boxcar(epoch_from(x))
+    var = np.mean((x - x.mean()) ** 2)
+    assert abs(psd.power[0].sum() * psd.resolution_hz - var) <= 1e-9 * max(var, 1e-300)
+
+
 def test_skip_guard():
     # a 1 s skip leaves an empty epoch of a 0.8 s one
     with pytest.raises(InputError, match="empty epoch"):
