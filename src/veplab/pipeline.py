@@ -494,14 +494,16 @@ def stats_report(report: Report, test: str, metric: str = "snr") -> dict:
         raise InputError("need at least 2 subjects for statistics")
     out = {"test": test, "metric": metric, "conditions": names}
     if test == "rm-anova":
-        res = vstats.rm_anova(matrix)
+        with located(f"metric {metric}"):
+            res = vstats.rm_anova(matrix)
         out.update(
             F=res.F, df=[res.df1, res.df2], p=res.p, eta_sq=res.eta_sq_partial,
             posthoc=[],
         )
     elif test == "posthoc":
         pairs = list(itertools.combinations(range(len(names)), 2))
-        results = [vstats.paired_t(matrix[:, i], matrix[:, j]) for i, j in pairs]
+        with located(f"metric {metric}"):
+            results = [vstats.paired_t(matrix[:, i], matrix[:, j]) for i, j in pairs]
         adjusted = vstats.holm_posthoc([r.p for r in results])
         out["posthoc"] = [
             {"pair": [names[i], names[j]], "t": r.t, "df": r.df, "p_holm": p_adj, "d": r.cohen_d}

@@ -59,6 +59,14 @@ def t_sf_two_sided(t: float, df: int) -> float:
     return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
 
 
+def _finite(name: str, value: float) -> float:
+    """value once it is finite; data large enough to overflow float64 in a
+    sum of squares, an sd or t are a DegenerateDataError naming it."""
+    if not math.isfinite(value):
+        raise DegenerateDataError(f"{name} is {value} in float64; the data are too large to test")
+    return value
+
+
 def rm_anova(data) -> RmAnovaResult:
     """One-way within-subjects ANOVA on a subjects x conditions matrix."""
     x = np.asarray(data, dtype=np.float64)
@@ -69,10 +77,16 @@ def rm_anova(data) -> RmAnovaResult:
         raise InputError(f"need >= 2 subjects and >= 2 conditions, got {n} x {k}")
     if not np.all(np.isfinite(x)):
         raise InputError("data matrix must be complete (finite values only)")
-    grand = x.mean()
-    ss_total = float(np.sum((x - grand) ** 2))
-    ss_subject = float(k * np.sum((x.mean(axis=1) - grand) ** 2))
-    ss_cond = float(n * np.sum((x.mean(axis=0) - grand) ** 2))
+    # an overflow reads inf or nan, which _finite then names
+    with np.errstate(over="ignore", invalid="ignore"):
+        grand = x.mean()
+        ss_total = float(np.sum((x - grand) ** 2))
+        ss_subject = float(k * np.sum((x.mean(axis=1) - grand) ** 2))
+        ss_cond = float(n * np.sum((x.mean(axis=0) - grand) ** 2))
+    for name, ss in (("total", ss_total), ("subject", ss_subject), ("condition", ss_cond)):
+        _finite(f"the {name} sum of squares", ss)
+    # with finite sums F and p are finite: the error term checked below is
+    # at least 1e-12 of the total, which bounds F
     ss_err = ss_total - ss_subject - ss_cond
     df1 = k - 1
     df2 = (n - 1) * (k - 1)
@@ -114,12 +128,13 @@ def paired_t(a, b) -> PairedTResult:
     n = len(a)
     if n < 2:
         raise InputError("need at least 2 pairs")
-    d = a - b
-    sd = float(np.std(d, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a - b
+        sd = _finite("the sd of the differences", float(np.std(d, ddof=1)))
     if sd == 0.0:
         raise DegenerateDataError("differences have zero variance")
     mean = float(np.mean(d))
-    t = mean / (sd / math.sqrt(n))
+    t = _finite("t", mean / (sd / math.sqrt(n)))
     return PairedTResult(
         t=t, df=n - 1, p=t_sf_two_sided(t, n - 1), cohen_d=mean / sd
     )

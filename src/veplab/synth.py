@@ -33,6 +33,18 @@ ADC_STEP_UV = 2.0**-5
 # 24 h at 500 Hz; four channels this long hold about 1.4 GB of float64 samples
 MAX_SAMPLES = 24 * 3600 * 500
 
+# ceilings far past any EEG recording, under which every sample stays finite:
+# 1 V for each amplitude, a gain of 1000 on the evoked response, and ten
+# 0.25 s artifact bursts a second
+MAX_AMP_UV = 1e6
+MAX_CHANNEL_GAIN = 1e3
+MAX_ARTIFACT_RATE_PER_MIN = 600.0
+_CEILINGS = {
+    **dict.fromkeys(("evoked_amp_uV", "pink_noise_uV", "line_amp_uV", "artifact_amp_uV"),
+                    MAX_AMP_UV),
+    "artifact_rate_per_min": MAX_ARTIFACT_RATE_PER_MIN,
+}
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -52,9 +64,17 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite_fields(self, non_negative=(
-            "evoked_amp_uV", "pink_noise_uV", "line_amp_uV", "artifact_rate_per_min",
-            "artifact_amp_uV"))
+        check_finite_fields(self, positive=("line_freq_hz",), non_negative=tuple(_CEILINGS))
+        for name, ceiling in _CEILINGS.items():
+            if getattr(self, name) > ceiling:
+                raise InputError(f"{name} must be at most {ceiling:g}, got {getattr(self, name)}")
+        for name, gain in self.channel_gains.items():
+            # written so that a NaN fails it
+            if not abs(gain) <= MAX_CHANNEL_GAIN:
+                raise InputError(
+                    f"channel_gains: {name!r} must be finite and within "
+                    f"+-{MAX_CHANNEL_GAIN:g}, got {gain}"
+                )
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.harmonic_decay <= 1.0:

@@ -25,14 +25,16 @@ SCRIPT = textwrap.dedent(
             {"paradigm": "radial_motion", "targets_hz": [8.0, 12.0],
              "trials_per_target": 1, "trial_s": 2.0, "rest_s": 1.0},
         ]}}, fh)
+    # checkerboards are palette frames, gratings dense ones
     codes = {
-        "stimgen": main([
-            "stimgen", "--paradigm", "gabor", "--freq", "36", "--duration", "0.1",
-            "--out", os.path.join(work, "schedule.json"),
-            "--render-dir", os.path.join(work, "frames"),
-        ]),
-        "synth": main(["synth", "--config", config, "--out", os.path.join(work, "ds")]),
+        paradigm: main([
+            "stimgen", "--paradigm", paradigm, "--freq", "36", "--duration", "0.1",
+            "--out", os.path.join(work, paradigm + ".json"),
+            "--render-dir", os.path.join(work, paradigm),
+        ])
+        for paradigm in ("reversal", "radial", "gabor")
     }
+    codes["synth"] = main(["synth", "--config", config, "--out", os.path.join(work, "ds")])
     scipy_after_generate = sorted(
         m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
     )
@@ -63,7 +65,11 @@ def test_generation_loads_no_scipy_and_analysis_loads_it_on_use(tmp_path):
     summary = json.loads(proc.stdout.splitlines()[-1])
     assert summary["scipy_after_generate"] == []
     assert summary["codes"] == {
-        "stimgen": 0, "synth": 0, "analyze": 0, "rm-anova": 0, "posthoc": 0,
+        "reversal": 0, "radial": 0, "gabor": 0, "synth": 0, "analyze": 0, "rm-anova": 0,
+        "posthoc": 0,
     }, proc.stderr
+    # 0.1 s at 144 Hz is 14 frames
+    for paradigm in ("reversal", "radial", "gabor"):
+        assert [p.suffix for p in (tmp_path / paradigm).iterdir()] == [".pgm"] * 14, paradigm
     stats = json.loads((tmp_path / "rm-anova.json").read_text())
     assert 0.0 <= stats["p"] <= 1.0

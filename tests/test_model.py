@@ -207,6 +207,7 @@ def test_save_matches_per_cell_repr(tmp_path):
     for fs in (500.0, 250.0, 1000.0, 2000.0, 256.0, 512.0, 1.0, 1024.0, 600.0, 20000.0):
         assert (_clock_fractions(n, fs) is None) == (fs in (600.0, 20000.0))
         check(samples, None, f"clock{fs:g}", fs)
+        check(samples / 3, None, f"off_grid_clock{fs:g}", fs)
         for start in (0.0, 1 / 3, -2.0):
             check(samples, start + np.arange(n) / fs, f"from{start:g}_at{fs:g}", fs)
         times = np.arange(n) / fs

@@ -11,7 +11,9 @@ from veplab import (
     decode,
     default_protocol,
     dsp,
+    load_recording,
     pipeline,
+    save_recording,
     spectral,
     synth_dataset,
 )
@@ -167,8 +169,8 @@ def test_emit_report_rejects_empty(tmp_path):
         emit_report(Report(tasks=[]), "json", tmp_path / "x.json")
 
 
-def test_stats_report_from_report(tiny_dataset):
-    out, _ = tiny_dataset
+def test_stats_report_from_report(tiny_dataset, tmp_path, capsys):
+    out, manifest = tiny_dataset
     report = analyze_dataset(out / "manifest.json")
     res = stats_report(report, test="rm-anova", metric="snr")
     # 3 + 1 conditions, 3 subjects -> df (3, 6)
@@ -211,6 +213,17 @@ def test_stats_report_from_report(tiny_dataset):
     for edit in (lambda tasks: tasks[1]["rows"].pop(1), renamed):
         with pytest.raises(InputError, match="task 2 has subjects"):
             edited(edit).to_markdown()
+    # so a manifest without S2's task 2 gives a JSON report and no table
+    unbalanced = json.loads(json.dumps(manifest))
+    del unbalanced["subjects"][1]["tasks"][1]
+    path = out / "unbalanced.json"
+    path.write_text(json.dumps(unbalanced))
+    argv = ["analyze", "--dataset", str(path), "--out"]
+    assert main([*argv, str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    assert main([*argv, str(tmp_path / "r.md"), "--format", "markdown"]) == 2
+    assert "task 2 has subjects" in capsys.readouterr().err
+    assert not (tmp_path / "r.md").exists()
 
 
 def test_cli_stimgen_and_synth_and_analyze(tmp_path):
@@ -258,6 +271,22 @@ def test_cli_stimgen_and_synth_and_analyze(tmp_path):
     # one task/one target -> not enough subjects; exit code 2 (input error)
     assert main(["stats", "--reports", str(reports_dir), "--test", "rm-anova",
                  "--out", str(stats_out)]) == 2
+
+
+@pytest.mark.parametrize("fs", [1000.0, 600.0])
+def test_dataset_at_another_clock_rate_analyzes_and_round_trips(tmp_path, fs):
+    # the writer prints each time from integers at 1000 Hz, by repr at 600 Hz
+    # (no finite decimal period); saving a loaded recording gives its bytes
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"protocol": {"n_subjects": 1, "fs_hz": fs, "tasks": [
+        {"paradigm": "radial_motion", "targets_hz": [8, 10], "trials_per_target": 2}]}}))
+    out = tmp_path / "ds"
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["analyze", "--dataset", str(out / "manifest.json"),
+                 "--out", str(tmp_path / "r.json")]) == 0
+    recording, again = out / "sub01_task1_recording.csv", tmp_path / "again.csv"
+    save_recording(load_recording(recording), again)
+    assert again.read_bytes() == recording.read_bytes()
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
@@ -419,14 +448,23 @@ def test_cli_synth_rejects_subject_count_below_one(tmp_path, capsys, subjects):
         ("protocol", "fs_hz", 0.0),
         ("protocol", "baseline_s", -1.0),
         ("protocol", "lead_out_s", -1.0),
+        # past the stated ceilings: a Poisson draw too large for numpy, samples
+        # that overflow float64, and a mains line analyze would refuse
+        ("config", "artifact_rate_per_min", 1e300),
+        ("config", "evoked_amp_uV", 1e308),
+        ("config", "artifact_amp_uV", 1e308),
+        ("config", "channel_gains", {"Oz": 1e308}),
+        ("config", "line_freq_hz", 0.0),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_synth_rejects_invalid_protocol(tmp_path, capsys, where, field, value):
     task = {"paradigm": "gabor_pulse", "targets_hz": [72.0], "trials_per_target": 2}
     protocol = {"tasks": [task], "n_subjects": 1}
-    (task if where == "task" else protocol)[field] = value
+    document = {"protocol": protocol}
+    {"task": task, "protocol": protocol, "config": document}[where][field] = value
     config = tmp_path / "synth.json"
-    config.write_text(json.dumps({"protocol": protocol}))
+    config.write_text(json.dumps(document))
     out = tmp_path / "ds"
     assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -547,6 +585,30 @@ def test_non_finite_snr_is_degenerate_not_nan(tiny_dataset, tmp_path, capsys):
     assert not report.exists()
     with pytest.raises(ValueError):
         Report(tasks=[{"rows": [{"snr_db": float("nan")}]}]).to_json()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("test, snr, named", [
+    ("rm-anova", [1e200, 5e200, 3e200], "the total sum of squares is inf"),
+    ("posthoc", [1e200, 5e200, 3e200], "the sd of the differences is inf"),
+    ("posthoc", [1e308, -1e308, 1e308], "the sd of the differences is nan"),
+])
+def test_stats_past_float64_is_degenerate(tmp_path, capsys, test, snr, named):
+    # finite SNRs whose squares overflow: rm-anova ended in a NaN traceback,
+    # posthoc reported t 0.0 and p_holm 1.0 from an infinite sd
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    rows = [{"subject": f"S{k}", "snr_db": 1.0, "accuracy_pct": 90.0, "fatigue": None,
+             "per_target_snr_db": {"8.0": v, "12.0": -v},
+             "per_target_accuracy_pct": {"8.0": 90.0, "12.0": 90.0}}
+            for k, v in enumerate(snr, start=1)]
+    (reports / "r.json").write_text(json.dumps({"tasks": [
+        {"task": 2, "paradigm": "radial_motion", "targets": [8.0, 12.0], "rows": rows}]}))
+    out = tmp_path / "stats.json"
+    capsys.readouterr()
+    assert main(["stats", "--reports", str(reports), "--test", test, "--out", str(out)]) == 3
+    assert f"metric snr: {named}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_decisions_analyze_once(tiny_dataset, tmp_path, monkeypatch):
@@ -688,16 +750,18 @@ def test_recording_line_frequency_option_matches_the_dataset(tmp_path, capsys):
     # a 60 Hz recording scored through --recording removes the 50 Hz default
     # unless told otherwise; the dataset path reads 60 Hz from its manifest.
     # The dataset's only task is the default protocol's task 3.
+    config = tmp_path / "mains60.json"
+    config.write_text(json.dumps({"line_freq_hz": 60, "seed": 3, "protocol": {
+        "n_subjects": 1, "tasks": [
+            {"paradigm": "gabor_pulse", "targets_hz": [72], "trials_per_target": 4}]}}))
     out = tmp_path / "mains60"
-    protocol = SynthProtocol(tasks=(TaskProtocol("gabor_pulse", (72.0,), 4),), n_subjects=1)
-    manifest = synth_dataset(SynthConfig(line_freq_hz=60.0, seed=3), protocol, out)
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
     dataset_report = tmp_path / "dataset.json"
     assert main(["analyze", "--dataset", str(out / "manifest.json"),
                  "--out", str(dataset_report)]) == 0
     expected = json.loads(dataset_report.read_text())["tasks"][0]["rows"][0]
-    task = manifest["subjects"][0]["tasks"][0]
-    argv = ["analyze", "--recording", str(out / task["recording"]),
-            "--markers", str(out / task["markers"]), "--task", "3",
+    argv = ["analyze", "--recording", str(out / "sub01_task1_recording.csv"),
+            "--markers", str(out / "sub01_task1_markers.csv"), "--task", "3",
             "--out", str(tmp_path / "r.json")]
 
     def per_target_snr(extra):
@@ -705,7 +769,11 @@ def test_recording_line_frequency_option_matches_the_dataset(tmp_path, capsys):
         row = json.loads((tmp_path / "r.json").read_text())["tasks"][0]["rows"][0]
         return row["per_target_snr_db"]
 
-    assert per_target_snr(["--line-freq", "60"]) == expected["per_target_snr_db"]
+    decisions = tmp_path / "d.csv"
+    assert per_target_snr(["--line-freq", "60", "--decisions", str(decisions)]) == \
+        expected["per_target_snr_db"]
+    # a header plus one row per stimulation and one per rest epoch
+    assert len(decisions.read_text().splitlines()) == 1 + 4 + 4
     assert per_target_snr([]) != expected["per_target_snr_db"]
 
     capsys.readouterr()
@@ -776,8 +844,9 @@ def test_rest_window_past_next_onset_is_an_input_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["analyze", "--dataset", str(manifest), "--out", str(report)]) == 2
     err = capsys.readouterr().err
-    named = ["sub01_task1_markers.csv", "offset marker at 12.0 s",
-             "onset marker at 14.0 s"]
+    named = ["subject S1", "recording sub01_task1_recording.csv", "sub01_task1_markers.csv",
+             "3.0 s rest window after the offset marker at 12.0 s reaches past the onset "
+             "marker at 14.0 s"]
     assert all(n in err for n in named), err
     assert not report.exists()
 
@@ -810,7 +879,7 @@ def test_epoch_too_short_to_band_pass_is_an_input_error(tmp_path, capsys, monkey
     radial = {"paradigm": "radial_motion", "targets_hz": [8, 10], "trials_per_target": 1}
     too_short = "epoch of 25 samples is too short to band-pass; need > 27"
     _synth_rejects(tmp_path, capsys, {"tasks": [dict(radial, trial_s=1.05, rest_s=2)]},
-                   ["trial_s 1.05 s after the 1.0 s skip: " + too_short])
+                   ["protocol: task 0: trial_s 1.05 s after the 1.0 s skip: " + too_short])
     manifest = _edited_dataset(tmp_path, radial, 1.05)
     report = tmp_path / "r.json"
     capsys.readouterr()
