@@ -50,8 +50,18 @@ def _cmd_stimgen(args) -> int:
         duration_s=args.duration,
     )
     schedule = build_frame_schedule(spec)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(schedule.to_json() + "\n")
+    # the render directory is made before the schedule is written, and taken
+    # back if the schedule cannot be, so a refused command writes nothing
+    made = bool(args.render_dir) and not os.path.lexists(args.render_dir)
+    if args.render_dir:
+        os.makedirs(args.render_dir, exist_ok=True)
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(schedule.to_json() + "\n")
+    except OSError:
+        if made:
+            os.rmdir(args.render_dir)
+        raise
     print(f"wrote {schedule.n_frames} frames to {args.out}")
     if args.render_dir:
         n = write_frame_stack(spec, schedule, args.render_dir)

@@ -8,6 +8,14 @@ mask width pulses at high frequency).
 All states are evaluated exactly at frame timestamps t = n / refresh_rate
 rather than by per-frame phase accumulation, so there is no drift for
 non-integer frames-per-cycle.
+
+Pattern reversal has two states whatever the schedule, so its two boards are
+rendered once per process and reused. Every image is read-only and encodes
+its PGM pixels at most once, so a reused board also skips the encoding. The
+radial and Gabor states repeat within a stack too (52 and 33 distinct of 72
+at 12 and 48 Hz on 144 Hz), but they are floats that depend on the schedule;
+reusing them means skipping render_frame and write_pgm calls per stack,
+which this module does not do yet.
 """
 
 from __future__ import annotations
@@ -103,6 +111,22 @@ class FrameSchedule:
         )
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a if neither it nor any array it views can be written, else a read-only copy.
+
+    A writable array is copied rather than frozen in place, so its owner may
+    still write it without changing the image.
+    """
+    base = a
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            a = a.copy()
+            a.setflags(write=False)
+            break
+        base = base.base
+    return a
+
+
 @dataclass(frozen=True)
 class LuminanceImage:
     """Grayscale image with values in [-1, 1].
@@ -111,6 +135,10 @@ class LuminanceImage:
     is a palette image, levels[index]: a 1-D table of levels and a 2-D
     integer array of positions in it, each in [0, len(levels)). values is
     the 2-D image in either form.
+
+    The arrays are read-only, so pixels, encoded on first use, stays true to
+    them. Read-only arrays, such as the renderers hand over, are kept as they
+    are; a writable one is copied.
     """
 
     levels: np.ndarray
@@ -127,11 +155,11 @@ class LuminanceImage:
                 raise InputError("a palette index must be a 2-D integer array")
             if v.ndim != 1:
                 raise InputError("palette levels must be 1-D")
-            object.__setattr__(self, "index", index)
+            object.__setattr__(self, "index", _read_only(index))
         # written so that a NaN, which min() and max() propagate, fails it
         if v.size and not (v.min() >= -1.0 - 1e-12 and v.max() <= 1.0 + 1e-12):
             raise InputError("luminance values must lie in [-1, 1]")
-        object.__setattr__(self, "levels", v)
+        object.__setattr__(self, "levels", _read_only(v))
 
     @property
     def values(self) -> np.ndarray:
@@ -144,6 +172,25 @@ class LuminanceImage:
     @property
     def height(self) -> int:
         return (self.levels if self.index is None else self.index).shape[0]
+
+    @functools.cached_property
+    def pixels(self) -> np.ndarray:
+        """The PGM encoding of values as a read-only 2-D uint8 array.
+
+        Each level becomes rint(clip((v + 1) * 255/2, 0, 255)) as uint8, once
+        per level; a palette image then gathers the bytes through its index.
+        Every pixel goes through the same arithmetic either way, so the bytes
+        equal a per-pixel encoding of values. Computed on first use and kept.
+        """
+        v = self.levels + 1.0
+        v *= 255.0 / 2.0
+        np.clip(v, 0, 255, out=v)
+        np.rint(v, out=v)
+        data = v.astype(np.uint8)
+        if self.index is not None:
+            data = data[self.index]
+        data.setflags(write=False)
+        return data
 
 
 def radial_phase(t, f_c: float):
@@ -264,12 +311,24 @@ def render_checkerboard(phase: float) -> LuminanceImage:
         raise InputError(f"phase must be in [0, pi], got {phase}")
     distinct, index = _checker_grid()
     ring = np.sign(np.sin(distinct + phase))
-    return LuminanceImage(np.concatenate([ring, -ring, [0.0, 1.0]]), index)
+    levels = np.concatenate([ring, -ring, [0.0, 1.0]])
+    levels.setflags(write=False)
+    return LuminanceImage(levels, index)
 
 
-def render_gabor(mask_scale: float) -> LuminanceImage:
-    """Gabor patch with the Gaussian mask width scaled by mask_scale."""
-    check_finite("mask_scale", mask_scale)
+@functools.cache
+def _reversal_board(pattern_id: int) -> LuminanceImage:
+    """Pattern reversal board 0 or 1, the checkerboard at phase 0 or pi, built once."""
+    return render_checkerboard(np.pi * pattern_id)
+
+
+@functools.cache
+def _gabor_grid():
+    """The mask-independent parts of the Gabor patch, built once.
+
+    Returns (grating, neg_r2), both read-only: the grating row, 1 x size, and
+    -(x**2 + y**2) over the size x size grid.
+    """
     size = GABOR_SIZE_PX
     coords = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     x = coords[None, :]
@@ -277,42 +336,61 @@ def render_gabor(mask_scale: float) -> LuminanceImage:
     grating = GABOR_CONTRAST * np.cos(
         2 * np.pi * GABOR_SPATIAL_FREQ * x / size + GABOR_PHASE
     )
+    neg_r2 = -(x**2 + y**2)
+    for a in (grating, neg_r2):
+        a.setflags(write=False)
+    return grating, neg_r2
+
+
+def render_gabor(mask_scale: float) -> LuminanceImage:
+    """Gabor patch with the Gaussian mask width scaled by mask_scale.
+
+    value(x, y) = grating(x) * exp(-(x**2 + y**2) / (2 * sigma**2)), with
+    sigma = mask_scale * GABOR_SIGMA_PX; the grating and -(x**2 + y**2) come
+    from _gabor_grid, so a frame is one exp and one product.
+    """
+    check_finite("mask_scale", mask_scale)
+    grating, neg_r2 = _gabor_grid()
     sigma = mask_scale * GABOR_SIGMA_PX
-    envelope = np.exp(-(x**2 + y**2) / (2.0 * sigma**2))
-    return LuminanceImage(grating * envelope)
+    values = neg_r2 / (2.0 * sigma**2)
+    np.exp(values, out=values)
+    values *= grating
+    values.setflags(write=False)
+    return LuminanceImage(values)
 
 
 def render_frame(spec: StimulusSpec, state) -> LuminanceImage:
-    """Render one frame of the paradigm from its schedule state."""
+    """Render one frame of the paradigm from its schedule state.
+
+    A pattern reversal state must be 0 or 1; its two boards are built once.
+    """
     if spec.paradigm == PATTERN_REVERSAL:
-        return render_checkerboard(np.pi * int(state))
+        if state not in (0, 1):
+            raise InputError(f"a pattern reversal state must be 0 or 1, got {state!r}")
+        return _reversal_board(int(state))
     if spec.paradigm == RADIAL_MOTION:
         return render_checkerboard(float(state))
     return render_gabor(float(state))
 
 
 def write_pgm(image: LuminanceImage, path) -> None:
-    """Write a binary PGM (P5), mapping [-1, 1] to [0, 255].
-
-    Each level becomes rint(clip((v + 1) * 255/2, 0, 255)) as uint8, once
-    per level; a palette image then gathers the bytes through its index.
-    Every pixel goes through the same arithmetic either way, so the bytes
-    equal a per-pixel encoding of values.
-    """
-    v = image.levels + 1.0
-    v *= 255.0 / 2.0
-    np.clip(v, 0, 255, out=v)
-    np.rint(v, out=v)
-    data = v.astype(np.uint8)
-    if image.index is not None:
-        data = data[image.index]
+    """Write a binary PGM (P5) of image.pixels, [-1, 1] mapped to [0, 255]."""
     with open(path, "wb") as fh:
         fh.write(f"P5\n{image.width} {image.height}\n255\n".encode("ascii"))
-        fh.write(data)
+        fh.write(image.pixels)
 
 
 def write_frame_stack(spec: StimulusSpec, schedule: FrameSchedule, out_dir) -> int:
-    """Render every frame of the schedule to out_dir/frame_<n>.pgm."""
+    """Render every frame of the schedule to out_dir/frame_<n>.pgm.
+
+    The schedule must be the spec's paradigm at the spec's refresh rate;
+    otherwise nothing is written.
+    """
+    if (schedule.paradigm, schedule.refresh_rate_hz) != (spec.paradigm, spec.refresh_rate_hz):
+        raise InputError(
+            f"a {schedule.paradigm} schedule at {schedule.refresh_rate_hz} Hz does not "
+            f"match a {spec.paradigm} spec at {spec.refresh_rate_hz} Hz"
+        )
     os.makedirs(out_dir, exist_ok=True)
     for n, state in enumerate(schedule.values.tolist()):
         write_pgm(render_frame(spec, state), os.path.join(out_dir, f"frame_{n:05d}.pgm"))

@@ -289,6 +289,23 @@ def test_dataset_at_another_clock_rate_analyzes_and_round_trips(tmp_path, fs):
     assert again.read_bytes() == recording.read_bytes()
 
 
+def test_stimgen_refused_for_its_render_dir_writes_no_schedule(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    sched = tmp_path / "sched.json"
+    assert main(["stimgen", "--paradigm", "reversal", "--freq", "8", "--duration", "0.05",
+                 "--out", str(sched), "--render-dir", str(taken)]) == 2
+    assert "File exists" in capsys.readouterr().err
+    assert not sched.exists()
+    assert taken.read_text() == ""
+    # a schedule that cannot be written leaves no render directory behind
+    frames = tmp_path / "frames"
+    assert main(["stimgen", "--paradigm", "reversal", "--freq", "8", "--duration", "0.05",
+                 "--out", str(tmp_path / "missing" / "s.json"), "--render-dir", str(frames)]) == 2
+    assert "No such file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["analyze", "--recording", "missing.csv", "--markers", "m.csv",
                  "--task", "1", "--out", str(tmp_path / "x.json")]) == 2

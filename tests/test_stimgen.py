@@ -423,3 +423,120 @@ def test_default_frame_stacks_are_pinned(tmp_path, paradigm, freq):
     for path in sorted(tmp_path.iterdir()):
         digest.update(path.read_bytes())
     assert digest.hexdigest() == SEED1_FRAME_DIGESTS[paradigm, freq]
+
+
+def test_reversal_boards_are_rendered_once_per_process(tmp_path, monkeypatch):
+    from veplab import stimgen
+
+    calls = []
+    render = stimgen.render_checkerboard
+
+    def counting_render(phase):
+        calls.append(phase)
+        return render(phase)
+
+    monkeypatch.setattr(stimgen, "render_checkerboard", counting_render)
+    stimgen._reversal_board.cache_clear()
+    spec = StimulusSpec("pattern_reversal", 8.0, 144.0, 0.5)
+    sch = build_frame_schedule(spec)
+    for name in ("a", "b"):
+        assert stimgen.write_frame_stack(spec, sch, tmp_path / name) == 72
+    assert sorted(calls) == [0.0, np.pi]
+    for name in ("a", "b"):
+        frames = sorted((tmp_path / name).iterdir())
+        assert len({f.read_bytes() for f in frames}) == 2
+
+
+def test_rendered_images_are_read_only(tmp_path):
+    from veplab.stimgen import _checker_grid, render_frame
+
+    for paradigm, freq in (("pattern_reversal", 8.0), ("radial_motion", 12.0),
+                           ("gabor_pulse", 48.0)):
+        spec = StimulusSpec(paradigm, freq, 144.0, 0.1)
+        for state in build_frame_schedule(spec).values.tolist()[:3]:
+            image = render_frame(spec, state)
+            write_pgm(image, tmp_path / "f.pgm")
+            arrays = [image.levels, image.pixels]
+            if image.index is not None:
+                # the renderers' own arrays are kept, not copied
+                assert image.index is _checker_grid()[1]
+                arrays.append(image.index)
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+
+
+def test_a_writable_caller_array_is_copied_not_frozen(tmp_path):
+    from veplab.stimgen import LuminanceImage
+
+    rng = np.random.default_rng(3)
+    values = rng.uniform(-1.0, 1.0, size=(5, 6))
+    index = np.arange(12).reshape(3, 4) % 3
+    levels = np.array([-1.0, 0.0, 1.0])
+    view = values.view()
+    view.setflags(write=False)  # read-only, but its base is still writable
+    expected = {}
+    images = {
+        "dense": LuminanceImage(values),
+        "view": LuminanceImage(view),
+        "palette": LuminanceImage(levels, index),
+    }
+    for name, image in images.items():
+        write_pgm(image, tmp_path / f"{name}.pgm")
+        expected[name] = (tmp_path / f"{name}.pgm").read_bytes()
+    ref = np.round(np.clip((values + 1.0) * 127.5, 0, 255)).astype(np.uint8)
+    assert expected["dense"] == expected["view"] == b"P5\n6 5\n255\n" + ref.tobytes()
+    late = LuminanceImage(values.copy())  # changed below before its first write
+    assert values.flags.writeable and index.flags.writeable and levels.flags.writeable
+    values[:] = 0.5
+    index[:] = 0
+    levels[:] = 1.0
+    for name, image in images.items():
+        write_pgm(image, tmp_path / f"{name}.pgm")
+        assert (tmp_path / f"{name}.pgm").read_bytes() == expected[name], name
+    write_pgm(late, tmp_path / "late.pgm")
+    assert (tmp_path / "late.pgm").read_bytes() == expected["dense"]
+
+
+def test_gabor_cached_grid_matches_per_call_formula():
+    def per_call(mask_scale):
+        size = GABOR_SIZE_PX
+        coords = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
+        x = coords[None, :]
+        y = coords[:, None]
+        grating = GABOR_CONTRAST * np.cos(
+            2 * np.pi * GABOR_SPATIAL_FREQ * x / size + GABOR_PHASE
+        )
+        sigma = mask_scale * GABOR_SIGMA_PX
+        return grating * np.exp(-(x**2 + y**2) / (2.0 * sigma**2))
+
+    sch = build_frame_schedule(StimulusSpec("gabor_pulse", 48.0, 144.0, 0.5))
+    for scale in (*sch.values.tolist(), 0.5, 0.7, 1.0, 1.3, 2.0):
+        assert np.array_equal(render_gabor(scale).values, per_call(scale)), scale
+
+
+def test_write_frame_stack_refuses_a_schedule_of_another_spec(tmp_path):
+    from veplab.stimgen import write_frame_stack
+
+    reversal = StimulusSpec("pattern_reversal", 7.2, 144.0, 0.05)
+    for spec in (
+        StimulusSpec("radial_motion", 7.2, 144.0, 0.05),
+        StimulusSpec("pattern_reversal", 7.2, 120.0, 0.05),
+    ):
+        out = tmp_path / "frames"
+        with pytest.raises(InputError, match="does not match"):
+            write_frame_stack(spec, build_frame_schedule(reversal), out)
+        assert not out.exists()
+
+
+def test_reversal_state_must_be_0_or_1():
+    from veplab.stimgen import render_frame
+
+    spec = StimulusSpec("pattern_reversal", 8.0, 144.0, 0.1)
+    for bad in (0.7, 1.9, -1, 2, np.nan, 1 + 1e-12):
+        with pytest.raises(InputError, match="must be 0 or 1"):
+            render_frame(spec, bad)
+    for state, phase in ((0, 0.0), (1, np.pi), (np.int64(1), np.pi), (0.0, 0.0)):
+        assert np.array_equal(render_frame(spec, state).values,
+                              render_checkerboard(phase).values)
